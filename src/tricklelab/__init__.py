@@ -35,10 +35,10 @@ from .analytics import (
 from .series import TruncatedSeries, geometric
 from .gf import (
     FirstPassageGF,
-    StepTimeMGF,
     TruncationInsufficientError,
     delay_moments_dp,
     delay_moments_gf,
+    exact_law_dp,
     hop_pmf_dp,
     hop_pmf_gf,
     solve_delay_system,

@@ -137,12 +137,6 @@ def var_theta1(R: int, eta: float) -> float:
     return 4.0 * (1.0 - eta) ** 2 * ((6.0 + R) / (8.0 + 4.0 * R) - centered**2)
 
 
-def cov_theta1_u0(R: int, eta: float) -> float:
-    """Stationary Cov[theta_1, U_0]."""
-    h = harmonic(R + 1)
-    return (1.0 - eta) * ((4.0 * R + 8.0) * h - (R * R + 9.0 * R + 8.0)) / (3.0 * R * R + 3.0 * R)
-
-
 def delta_covariance(R: int, eta: float) -> float:
     """Cross-covariance rate between update sizes and inter-transmission times.
 
@@ -172,12 +166,7 @@ def holding_time_matrix(model: MarkovModel, eta: float) -> np.ndarray:
 
 def gamma_theta_sq(R: int, eta: float) -> float:
     """Asymptotic variance rate of the cumulative transmission time."""
-    model = build_markov(R)
-    Z = fundamental_matrix(model)
-    M = holding_time_matrix(model, eta)
-    mu_t = mean_inter_transmission(R, eta)
-    serial = float(model.pi @ M @ Z @ M @ np.ones(R))
-    return var_theta1(R, eta) + 2.0 * serial - 2.0 * mu_t * mu_t
+    return asymptotic_stats(R, eta).gamma_theta_sq
 
 
 def asymptotic_stats(R: int, eta: float) -> AsymptoticStats:
@@ -224,42 +213,24 @@ def normal_approx(
     return (mean_h, std_h), (mean_t, std_t)
 
 
-def minimize_delay_variance(
-    R: int, grid_points: int = 101, tol: float = 1e-4
-) -> tuple[float, float]:
-    """eta minimizing the asymptotic delay variance rate on [0, 1].
+def minimize_delay_variance(R: int) -> tuple[float, float]:
+    """eta minimizing the asymptotic delay variance rate on [0, 1], exactly.
 
-    101-point grid scan to bracket, then golden-section refinement; boundary
-    minima are returned exactly (0.0 or 1.0).
+    sigma_T_sq is quadratic in eta (each holding time eta + (1 - eta) *
+    Beta(1, u) is affine in eta), so the parabola through eta = 0, 1/2, 1 is
+    the function itself and its vertex is the exact minimizer.  The result is
+    the lowest of the vertex clipped to [0, 1] and the two endpoints, so a
+    boundary minimum comes back as exactly 0.0 or 1.0.
     """
-    f = lambda eta: sigma_T_sq(R, eta)
-    grid = np.linspace(0.0, 1.0, grid_points)
-    values = [f(e) for e in grid]
-    i_star = int(np.argmin(values))
-    lo = grid[max(i_star - 1, 0)]
-    hi = grid[min(i_star + 1, grid_points - 1)]
-    x = _golden_section(f, lo, hi, tol)
-    candidates = [x, float(grid[i_star]), 0.0, 1.0]
-    best = min(candidates, key=f)
-    return best, f(best)
-
-
-def _golden_section(f, lo: float, hi: float, tol: float) -> float:
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    f0, f_half, f1 = (sigma_T_sq(R, eta) for eta in (0.0, 0.5, 1.0))
+    candidates = [(f0, 0.0), (f1, 1.0)]
+    curvature = 2.0 * (f0 - 2.0 * f_half + f1)
+    if curvature > 0.0:
+        vertex = (3.0 * f0 - 4.0 * f_half + f1) / (2.0 * curvature)
+        if 0.0 < vertex < 1.0:
+            candidates.append((sigma_T_sq(R, vertex), vertex))
+    value, eta = min(candidates)
+    return eta, value
 
 
 # --- independent matrix-path oracles (kept free of the closed forms) -------

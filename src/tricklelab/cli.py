@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-eta", help="delay rate and variance over an eta grid")
     p.add_argument("--R", type=int, required=True)
-    p.add_argument("--steps", type=int, default=101, help="grid points on [0, 1]")
+    p.add_argument("--steps", type=int, default=101,
+                   help="output grid points on [0, 1] (the argmin is exact)")
     p.add_argument("--format", choices=("csv", "json"), default="csv",
                    dest="output_format")
     p.add_argument("--out", default=None)
@@ -119,6 +120,9 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--k must be >= 1, got {args.k}")
     if getattr(args, "steps", 2) < 2:
         parser.error(f"--steps must be >= 2, got {args.steps}")
+    if args.command == "compare" and (args.k != 1 or args.tau_h != math.inf):
+        parser.error("compare's analytic column is the k=1, unbounded-tau_h "
+                     "normal approximation; use simulate for --k > 1 or finite --tau-h")
     if getattr(args, "engine", None) == "renewal":
         if args.k != 1:
             parser.error("the renewal engine models k=1; use --engine protocol")
@@ -211,8 +215,7 @@ def _pmf_dataset(args, pmf, mean, variance, dp_pmf=None) -> dict:
 
 
 def _cmd_exact(args) -> dict:
-    pmf = gf.hop_pmf_dp(args.R, args.n)
-    mean, variance = gf.delay_moments_dp(args.R, args.eta, args.n)
+    pmf, mean, variance = gf.exact_law_dp(args.R, args.eta, args.n)
     return _pmf_dataset(args, pmf, mean, variance)
 
 
@@ -221,8 +224,7 @@ def _cmd_gf(args) -> dict:
     moments = gf.delay_moments_gf(args.R, args.eta, args.n)
     mean = moments[0]
     variance = moments[1] - moments[0] ** 2
-    dp_pmf = gf.hop_pmf_dp(args.R, args.n)
-    dp_mean, dp_var = gf.delay_moments_dp(args.R, args.eta, args.n)
+    dp_pmf, dp_mean, dp_var = gf.exact_law_dp(args.R, args.eta, args.n)
     width = max(len(pmf), len(dp_pmf))
     pad = lambda a: np.pad(a, (0, width - len(a)))
     pmf_err = float(np.max(np.abs(pad(pmf) - pad(dp_pmf))))
@@ -286,7 +288,7 @@ def _cmd_sweep_eta(args) -> dict:
          analytics.sigma_T_sq(args.R, float(e)), "grid"]
         for e in grid
     ]
-    eta_star, var_star = analytics.minimize_delay_variance(args.R, args.steps)
+    eta_star, var_star = analytics.minimize_delay_variance(args.R)
     rows.append([eta_star, analytics.delay_rate(args.R, eta_star), var_star, "argmin"])
     payload = {
         "R": args.R,

@@ -6,8 +6,10 @@ Two independent routes to the same laws:
   chain, solved as linear systems over a truncated series ring, assembled
   into a master series whose coefficients are P[hops = m at size n] (or the
   delay moment generating function at size n);
-* a dynamic-programming route over (nodes covered, last update size), used
-  as the accuracy oracle.
+* a dynamic-programming route: one forward pass over (nodes covered, last
+  update size) that carries the probability and the first two moments of
+  elapsed time together, yielding the hop pmf and the delay mean and
+  variance at once; used as the accuracy oracle.
 
 Sizes n <= R take a single broadcast, so the hop law there is a point mass
 and the delay is one timer draw, uniform on [eta, 1].
@@ -82,22 +84,12 @@ def step_mgf(j: int, eta: float, s: float) -> float:
     return math.exp(s * eta + lam) * j * total
 
 
-@dataclass(slots=True)
-class StepTimeMGF:
-    """Holding-time transform for one chain state: series and evaluator."""
-
-    j: int
-    eta: float
-    order: int
-
-    def series_coeffs(self) -> np.ndarray:
-        """Power-series coefficients E[nu_j^r] / r! up to the configured order."""
-        return np.array(
-            [step_moment(self.j, self.eta, r) / math.factorial(r) for r in range(self.order + 1)]
-        )
-
-    def __call__(self, s: float) -> float:
-        return step_mgf(self.j, self.eta, s)
+def holding_series(j: int, eta: float, node_degree: int, order: int) -> TruncatedSeries:
+    """Holding-time moment series of state j, sum_r E[nu_j^r] t^r / r!, as
+    the node-degree-0 row of a (nodes, time) series."""
+    coeffs = np.zeros((node_degree + 1, order + 1))
+    coeffs[0, :] = [step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)]
+    return TruncatedSeries((NODE_VAR, TIME_VAR), coeffs)
 
 
 # --- first-passage systems ---------------------------------------------------
@@ -114,78 +106,62 @@ class FirstPassageGF:
 
     R: int
     target: int
-    mode: str
     table: list[TruncatedSeries]
 
 
+def _solve_first_passage(R, variables, degrees, sweeps, step) -> list[FirstPassageGF]:
+    """Fixed point of table[i] = step(i, P[i,t] z^t + sum_{k != t} P[i,k] z^k table[k])
+    for every target t, where z counts nodes and `step` charges one transition
+    out of state i on the second variable."""
+    P = transition_matrix(R)
+    out = []
+    for target in range(1, R + 1):
+        arrive = [
+            TruncatedSeries.monomial(variables, degrees, (target, 0), P[i, target - 1])
+            for i in range(R)
+        ]
+        table = [TruncatedSeries.zeros(variables, degrees) for _ in range(R)]
+        for _ in range(sweeps):
+            new = []
+            for i in range(R):
+                acc = arrive[i]
+                for k in range(1, R + 1):
+                    if k == target or P[i, k - 1] == 0.0:
+                        continue
+                    acc = acc + P[i, k - 1] * table[k - 1].shifted((k, 0))
+                new.append(step(i, acc))
+            table = new
+        out.append(FirstPassageGF(R=R, target=target, table=table))
+    return out
+
+
 def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[FirstPassageGF]:
-    """First-passage transforms for every target state, hop mode.
+    """First-passage transforms for every target state, hop mode: each step
+    multiplies by the step variable.
 
     Fixed-point iteration: the t-th sweep accounts for all paths of at most
     t steps, and a path of t steps carries node degree >= t and step degree
     exactly t, so min(node_degree, step_degree) + 1 sweeps reach the exact
     truncated solution.
     """
-    P = transition_matrix(R)
-    variables = (NODE_VAR, HOP_VAR)
-    degrees = (node_degree, step_degree)
-    sweeps = min(node_degree, step_degree) + 1
-    out = []
-    for target in range(1, R + 1):
-        base = [
-            TruncatedSeries.monomial(variables, degrees, (target, 1), P[i - 1, target - 1])
-            for i in range(1, R + 1)
-        ]
-        table = [TruncatedSeries.zeros(variables, degrees) for _ in range(R)]
-        for _ in range(sweeps):
-            table = [
-                base[i] + _hop_step(P, i, target, table, variables, degrees)
-                for i in range(R)
-            ]
-        out.append(FirstPassageGF(R=R, target=target, mode="hop", table=table))
-    return out
-
-
-def _hop_step(P, i, target, table, variables, degrees):
-    acc = TruncatedSeries.zeros(variables, degrees)
-    for k in range(1, P.shape[0] + 1):
-        if k == target or P[i, k - 1] == 0.0:
-            continue
-        acc = acc + P[i, k - 1] * table[k - 1].shifted((k, 1))
-    return acc
+    return _solve_first_passage(
+        R, (NODE_VAR, HOP_VAR), (node_degree, step_degree),
+        min(node_degree, step_degree) + 1, lambda i, s: s.shifted((0, 1)))
 
 
 def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[FirstPassageGF]:
     """First-passage transforms in delay mode: one step from state i costs a
     factor of the holding-time transform of state i and z^k on arrival at k."""
-    P = transition_matrix(R)
-    variables = (NODE_VAR, TIME_VAR)
-    degrees = (node_degree, order)
-    mgf = []
-    for i in range(1, R + 1):
-        coeffs = np.zeros((node_degree + 1, order + 1))
-        coeffs[0, :] = StepTimeMGF(i, eta, order).series_coeffs()
-        mgf.append(TruncatedSeries(variables, coeffs))
-    sweeps = node_degree + 1
-    out = []
-    for target in range(1, R + 1):
-        base = [
-            (P[i - 1, target - 1] * mgf[i - 1]).shifted((target, 0))
-            for i in range(1, R + 1)
-        ]
-        table = [TruncatedSeries.zeros(variables, degrees) for _ in range(R)]
-        for _ in range(sweeps):
-            new = []
-            for i in range(R):
-                acc = base[i]
-                for k in range(1, R + 1):
-                    if k == target or P[i, k - 1] == 0.0:
-                        continue
-                    acc = acc + P[i, k - 1] * (mgf[i] * table[k - 1]).shifted((k, 0))
-                new.append(acc)
-            table = new
-        out.append(FirstPassageGF(R=R, target=target, mode="delay", table=table))
-    return out
+    hold = [holding_series(i, eta, node_degree, order).coeffs[0] for i in range(1, R + 1)]
+
+    def step(i: int, s: TruncatedSeries) -> TruncatedSeries:
+        # the holding series has only time terms, so the product is a sum of
+        # time shifts; exact, where a 2-D convolution may add round-off to
+        # the zero constant term that geometric() relies on
+        return sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+
+    return _solve_first_passage(
+        R, (NODE_VAR, TIME_VAR), (node_degree, order), node_degree + 1, step)
 
 
 # --- master series and extraction ---------------------------------------------
@@ -241,52 +217,18 @@ def hop_pmf_gf(R: int, n: int, m_max: int | None = None) -> np.ndarray:
     return pmf
 
 
-def hop_pmf_dp(R: int, n: int) -> np.ndarray:
-    """Exact hop-count pmf by forward dynamic programming (oracle).
-
-    State: (nodes covered so far a < n, last update size u); from u the next
-    update size is uniform on {R - u + 1, ..., R}; absorb once coverage
-    reaches n.  Entry m of the result is P[hop count = m].
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dist = np.zeros((n, R + 1))
-    dist[0, 1] = 1.0  # one seed node, nothing covered yet
-    pmf = [0.0]
-    while dist.any():
-        nxt = np.zeros_like(dist)
-        absorbed = 0.0
-        for u in range(1, R + 1):
-            col = dist[:, u]
-            if not col.any():
-                continue
-            w = 1.0 / u
-            for up in range(R - u + 1, R + 1):
-                # coverage a -> a + up; rows with a + up >= n absorb
-                if up < n:
-                    nxt[up:, up] += w * col[: n - up]
-                absorbed += w * col[max(n - up, 0):].sum()
-        pmf.append(absorbed)
-        dist = nxt
-    return np.array(pmf)
-
-
 def delay_master_series(R: int, eta: float, n_max: int, order: int = 2) -> TruncatedSeries:
     """Series whose row n holds the delay moment series at size n."""
     systems = solve_delay_system(R, eta, n_max, order)
     variables = (NODE_VAR, TIME_VAR)
     degrees = (n_max, order)
 
-    def mgf_embedded(j: int) -> TruncatedSeries:
-        coeffs = np.zeros((n_max + 1, order + 1))
-        coeffs[0, :] = StepTimeMGF(j, eta, order).series_coeffs()
-        return TruncatedSeries(variables, coeffs)
-
-    bracket = 1.0 - mgf_embedded(1)
+    bracket = 1.0 - holding_series(1, eta, n_max, order)
     for fp in systems:
         first = fp.table[0]
         back = fp.table[fp.target - 1]
-        bracket = bracket + (1.0 - mgf_embedded(fp.target)) * (first * geometric(back))
+        bracket = bracket + (1.0 - holding_series(fp.target, eta, n_max, order)) * (
+            first * geometric(back))
     geo = TruncatedSeries.zeros(variables, degrees)
     geo.coeffs[:, 0] = 1.0  # 1 / (1 - z_nodes)
     return geo - (geo * bracket).shifted((1, 0))
@@ -307,26 +249,31 @@ def delay_moments_gf(R: int, eta: float, n: int, order: int = 2) -> list[float]:
     return [row[r] * math.factorial(r) for r in range(1, order + 1)]
 
 
-def delay_moments_dp(R: int, eta: float, n: int) -> tuple[float, float]:
-    """Exact (mean, variance) of the delay at size n by forward DP (oracle).
+def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
+    """Exact hop-count pmf and delay (mean, variance) at size n by one forward
+    dynamic-programming pass (the oracle for the transform route).
 
-    Carries per-state unnormalized first and second moments of elapsed time;
-    each transition out of update-size u adds an independent holding time
-    with moments E[nu_u], E[nu_u^2].
+    State: (nodes covered so far a < n, last update size u); from u the next
+    update size is uniform on {R - u + 1, ..., R} after a holding time nu_u;
+    absorb once coverage reaches n.  Each state carries its probability and
+    the unnormalized first and second moments of the elapsed time.  Entry m
+    of the pmf is the mass absorbed at step m, i.e. P[hop count = m].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    e1 = np.array([0.0] + [step_moment(u, eta, 1) for u in range(1, R + 1)])
-    e2 = np.array([0.0] + [step_moment(u, eta, 2) for u in range(1, R + 1)])
+    e1 = [0.0] + [step_moment(u, eta, 1) for u in range(1, R + 1)]
+    e2 = [0.0] + [step_moment(u, eta, 2) for u in range(1, R + 1)]
     prob = np.zeros((n, R + 1))
     m1 = np.zeros((n, R + 1))
     m2 = np.zeros((n, R + 1))
-    prob[0, 1] = 1.0
+    prob[0, 1] = 1.0  # one seed node, nothing covered yet
+    pmf = [0.0]
     tot_p = tot_m1 = tot_m2 = 0.0
     while prob.any():
         n_prob = np.zeros_like(prob)
         n_m1 = np.zeros_like(m1)
         n_m2 = np.zeros_like(m2)
+        absorbed = 0.0
         for u in range(1, R + 1):
             p = prob[:, u]
             if not p.any():
@@ -335,14 +282,28 @@ def delay_moments_dp(R: int, eta: float, n: int) -> tuple[float, float]:
             s2 = m2[:, u] + 2.0 * e1[u] * m1[:, u] + p * e2[u]
             w = 1.0 / u
             for up in range(R - u + 1, R + 1):
+                # coverage a -> a + up; rows with a + up >= n absorb
                 cut = max(n - up, 0)
                 if up < n:
                     n_prob[up:, up] += w * p[:cut]
                     n_m1[up:, up] += w * s1[:cut]
                     n_m2[up:, up] += w * s2[:cut]
-                tot_p += w * p[cut:].sum()
+                mass = w * p[cut:].sum()
+                absorbed += mass
+                tot_p += mass
                 tot_m1 += w * s1[cut:].sum()
                 tot_m2 += w * s2[cut:].sum()
+        pmf.append(absorbed)
         prob, m1, m2 = n_prob, n_m1, n_m2
     mean = tot_m1 / tot_p
-    return mean, tot_m2 / tot_p - mean * mean
+    return np.array(pmf), mean, tot_m2 / tot_p - mean * mean
+
+
+def hop_pmf_dp(R: int, n: int) -> np.ndarray:
+    """Exact hop-count pmf by forward dynamic programming: see exact_law_dp."""
+    return exact_law_dp(R, 0.0, n)[0]
+
+
+def delay_moments_dp(R: int, eta: float, n: int) -> tuple[float, float]:
+    """Exact (mean, variance) of the delay by forward dynamic programming."""
+    return exact_law_dp(R, eta, n)[1:]

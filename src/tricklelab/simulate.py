@@ -224,6 +224,11 @@ def validate_wavefront(trace: PropagationTrace) -> bool:
 
     The nodes updated by hop m form a contiguous block right of the frontier;
     hop m + 1's sender must belong to it (hop 1 must come from node 0).
+
+    The property holds only for k = 1 with unbounded tau_h.  Otherwise a node
+    behind the newest block may broadcast and update nodes: it fails for
+    k = 2 on LineTopology(250, 5) with seeds 0 to 4, and for tau_h = 4,
+    eta = 0.5 on LineTopology(100, 5) with seed 98.
     """
     block_lo, block_hi = 0, 0
     frontier = 0

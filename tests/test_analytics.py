@@ -180,7 +180,28 @@ class TestNormalApprox:
             an.normal_approx(5, 0.0, 0)
 
 
+QUADRATIC_R = [1, 2, 3, 5, 10, 30, 50]
+
+
+@pytest.mark.parametrize("R", QUADRATIC_R)
+def test_delay_variance_rate_is_quadratic_in_eta(R):
+    # the premise of the closed-form minimizer: sigma_T_sq equals its
+    # Lagrange interpolant through eta = 0, 1/2, 1
+    f0, f_half, f1 = (an.sigma_T_sq(R, e) for e in (0.0, 0.5, 1.0))
+    for eta in np.linspace(0.0, 1.0, 11):
+        interp = (f0 * (eta - 0.5) * (eta - 1.0) / 0.5
+                  - f_half * eta * (eta - 1.0) / 0.25
+                  + f1 * eta * (eta - 0.5) / 0.5)
+        assert an.sigma_T_sq(R, eta) == pytest.approx(interp, rel=0.0, abs=1e-14)
+
+
 class TestVarianceMinimizer:
+    @pytest.mark.parametrize("R", QUADRATIC_R)
+    def test_not_above_a_fine_grid(self, R):
+        _, value = an.minimize_delay_variance(R)
+        low = min(an.sigma_T_sq(R, e) for e in np.linspace(0.0, 1.0, 201))
+        assert value <= low * (1.0 + 1e-12)
+
     def test_sparse_interior_minimum(self):
         eta, value = an.minimize_delay_variance(5)
         assert abs(eta - 0.56) <= 0.03

@@ -153,6 +153,8 @@ class TestValidation:
         ("simulate", "--R", "2", "--n", "5", "--reps", "0"),
         ("simulate", "--R", "2", "--n", "5", "--k", "2"),           # renewal + k>1
         ("simulate", "--R", "2", "--n", "5", "--tau-h", "4"),       # renewal + finite
+        ("compare", "--R", "5", "--n", "100", "--reps", "2", "--engine", "protocol",
+         "--k", "2", "--tau-h", "4"),                               # no analytic law
         ("sweep-eta", "--R", "3", "--steps", "1"),
         ("nonsense",),
     ])

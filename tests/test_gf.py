@@ -68,7 +68,7 @@ class TestStepMGF:
         assert gf.step_mgf(j, eta, s) == pytest.approx(closed, rel=1e-12)
 
     def test_series_coefficients_are_scaled_moments(self):
-        c = gf.StepTimeMGF(3, 0.25, 4).series_coeffs()
+        c = gf.holding_series(3, 0.25, 0, 4).coeffs[0]
         for r in range(5):
             assert c[r] == pytest.approx(
                 gf.step_moment(3, 0.25, r) / math.factorial(r), rel=1e-12)
@@ -87,22 +87,38 @@ class TestHopSystem:
         assert to_top.table[0].coefficient((2, 1)) == 1.0
         assert np.count_nonzero(to_top.table[0].coeffs) == 1
 
-    @pytest.mark.parametrize("R", [2, 3, 5])
-    def test_residual_of_defining_equations(self, R):
-        node_deg, step_deg = 10, 10
+    @pytest.mark.parametrize("R, mode", [
+        pytest.param(R, mode, id=str(R) if mode == "hop" else f"{R}-{mode}")
+        for mode in ("hop", "delay") for R in (2, 3, 5)
+    ])
+    def test_residual_of_defining_equations(self, R, mode):
+        # table[i] = step_i(P[i,t] z^t + sum_{k != t} P[i,k] z^k table[k]),
+        # step_i a shift by one hop, or the product with state i's
+        # holding-time moment series
         P = transition_matrix(R)
-        fps = gf.solve_hop_system(R, node_deg, step_deg)
+        if mode == "hop":
+            variables, degrees = (gf.NODE_VAR, gf.HOP_VAR), (10, 10)
+            fps = gf.solve_hop_system(R, *degrees)
+            step = lambda i, s: s.shifted((0, 1))
+        else:
+            eta = 0.3
+            variables, degrees = (gf.NODE_VAR, gf.TIME_VAR), (10, 4)
+            fps = gf.solve_delay_system(R, eta, *degrees)
+
+            def step(i, s):
+                mgf = TruncatedSeries.zeros(variables, degrees)
+                mgf.coeffs[0, :] = [gf.step_moment(i, eta, r) / math.factorial(r)
+                                    for r in range(degrees[1] + 1)]
+                return mgf * s
         for fp in fps:
             j = fp.target
             for i in range(1, R + 1):
-                rhs = TruncatedSeries.monomial(
-                    (gf.NODE_VAR, gf.HOP_VAR), (node_deg, step_deg), (j, 1),
-                    P[i - 1, j - 1])
+                rhs = TruncatedSeries.monomial(variables, degrees, (j, 0), P[i - 1, j - 1])
                 for k in range(1, R + 1):
                     if k == j or P[i - 1, k - 1] == 0.0:
                         continue
-                    rhs = rhs + P[i - 1, k - 1] * fp.table[k - 1].shifted((k, 1))
-                residual = np.max(np.abs(fp.table[i - 1].coeffs - rhs.coeffs))
+                    rhs = rhs + P[i - 1, k - 1] * fp.table[k - 1].shifted((k, 0))
+                residual = np.max(np.abs(fp.table[i - 1].coeffs - step(i, rhs).coeffs))
                 assert residual < 1e-12
 
     def test_first_passage_needs_at_least_one_step(self):

@@ -101,6 +101,13 @@ class Reaction(Enum):
     INCONSISTENCY_RESET = "inconsistency_reset"
 
 
+# Module-level aliases: attribute access on an Enum class costs far more than
+# a global lookup, and the transitions below run once per message.
+_CONSISTENT = Reaction.CONSISTENT_HEARD
+_ADOPTED = Reaction.ADOPTED_UPDATE
+_RESET = Reaction.INCONSISTENCY_RESET
+
+
 def quiet_state(params: TrickleParams) -> NodeState:
     """State of a node idling at tau = tau_h that has not seen any update."""
     return NodeState(
@@ -119,16 +126,13 @@ def start_interval(state: NodeState, params: TrickleParams, now: float, rng) -> 
     The offset window is [eta * tau, tau] when tau == tau_l and
     [tau / 2, tau] otherwise.
     """
-    tau = state.tau
+    return _fresh_interval(state.tau, state.version, params, now, rng)
+
+
+def _fresh_interval(tau: float, version: int, params: TrickleParams, now: float,
+                    rng) -> NodeState:
     lo = params.eta * tau if tau == params.tau_l else 0.5 * tau
-    return NodeState(
-        tau=tau,
-        c=0,
-        t=rng.uniform(lo, tau),
-        interval_start=now,
-        version=state.version,
-        has_fired=False,
-    )
+    return NodeState(tau, 0, rng.uniform(lo, tau), now, version, False)
 
 
 def on_message(
@@ -141,26 +145,27 @@ def on_message(
     `needs_new_interval` / `receive_message`).  Older version: drop tau to
     tau_l if currently above it (new interval required), otherwise no-op.
     """
-    if msg.version == state.version:
+    version = state.version
+    if msg.version == version:
         return (
             NodeState(state.tau, state.c + 1, state.t, state.interval_start,
-                      state.version, state.has_fired),
-            Reaction.CONSISTENT_HEARD,
+                      version, state.has_fired),
+            _CONSISTENT,
         )
-    if msg.version > state.version:
+    if msg.version > version:
         return (
             NodeState(params.tau_l, state.c, state.t, state.interval_start,
                       msg.version, state.has_fired),
-            Reaction.ADOPTED_UPDATE,
+            _ADOPTED,
         )
     # Heard stale data: rebroadcast soon if we had slowed down.
     if state.tau > params.tau_l:
         return (
             NodeState(params.tau_l, state.c, state.t, state.interval_start,
-                      state.version, state.has_fired),
-            Reaction.INCONSISTENCY_RESET,
+                      version, state.has_fired),
+            _RESET,
         )
-    return state, Reaction.INCONSISTENCY_RESET
+    return state, _RESET
 
 
 def needs_new_interval(old: NodeState, params: TrickleParams, reaction: Reaction) -> bool:
@@ -169,11 +174,9 @@ def needs_new_interval(old: NodeState, params: TrickleParams, reaction: Reaction
     Adoption always resynchronizes (even at tau == tau_l); a reset only does
     when tau actually dropped.
     """
-    if reaction is Reaction.ADOPTED_UPDATE:
-        return True
-    if reaction is Reaction.INCONSISTENCY_RESET:
-        return old.tau > params.tau_l
-    return False
+    if reaction is _CONSISTENT:
+        return False
+    return reaction is _ADOPTED or old.tau > params.tau_l
 
 
 def receive_message(
@@ -200,6 +203,7 @@ def on_timer(
 
 def on_interval_end(state: NodeState, params: TrickleParams, now: float, rng) -> NodeState:
     """Double tau (capped at tau_h) and start the next interval."""
-    doubled = NodeState(min(2.0 * state.tau, params.tau_h), state.c, state.t,
-                        state.interval_start, state.version, state.has_fired)
-    return start_interval(doubled, params, now, rng)
+    tau = 2.0 * state.tau
+    if tau > params.tau_h:
+        tau = params.tau_h
+    return _fresh_interval(tau, state.version, params, now, rng)

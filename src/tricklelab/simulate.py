@@ -136,15 +136,20 @@ def run_protocol_event(
     states: list[NodeState] = [quiet_state(params)] * (n + 1)
     epochs = [0] * (n + 1)
     heap: list[tuple[float, int, int, int]] = []
+    push, pop = heappush, heappop
+    adopted = Reaction.ADOPTED_UPDATE
 
+    # An interval's end is queued only once its timer has fired: it never
+    # precedes the timer (t <= tau, and kind breaks the tie), and a restart
+    # before the timer fires would make it stale anyway.  Inside the loop a
+    # fresh interval (finite tau, timer not fired) queues just its timer.
     def schedule(j: int, st: NodeState) -> None:
         if st.tau == TAU_INFINITE:
             return
-        ep = epochs[j]
-        start = st.interval_start
-        if not st.has_fired:
-            heappush(heap, (start + st.t, j, _KIND_TIMER, ep))
-        heappush(heap, (start + st.tau, j, _KIND_INTERVAL_END, ep))
+        if st.has_fired:
+            push(heap, (st.interval_start + st.tau, j, _KIND_INTERVAL_END, epochs[j]))
+        else:
+            push(heap, (st.interval_start + st.t, j, _KIND_TIMER, epochs[j]))
 
     # Node 0: freshly updated at time 0.
     seed_state = NodeState(tau=params.tau_l, c=0, t=0.0, interval_start=0.0,
@@ -169,7 +174,7 @@ def run_protocol_event(
     hop_count = 0
 
     while heap:
-        now, node, kind, ep = heappop(heap)
+        now, node, kind, ep = pop(heap)
         if ep != epochs[node]:
             continue
         if now > horizon:
@@ -181,21 +186,21 @@ def run_protocol_event(
         if kind == _KIND_TIMER:
             st, msg = on_timer(states[node], params, now, node)
             states[node] = st
+            push(heap, (st.interval_start + st.tau, node, _KIND_INTERVAL_END, ep))
             if msg is None:
                 continue
             updated = 0
             for j in topo.receivers(node):
                 if j == node:
                     continue
-                new_state, reaction = on_message(states[j], params, msg, now)
-                if needs_new_interval(states[j], params, reaction):
+                old = states[j]
+                new_state, reaction = on_message(old, params, msg, now)
+                if needs_new_interval(old, params, reaction):
                     epochs[j] += 1
                     new_state = start_interval(new_state, params, now, rnd)
-                    states[j] = new_state
-                    schedule(j, new_state)
-                else:
-                    states[j] = new_state
-                if reaction is Reaction.ADOPTED_UPDATE:
+                    push(heap, (now + new_state.t, j, _KIND_TIMER, epochs[j]))
+                states[j] = new_state
+                if reaction is adopted:
                     updated += 1
                     update_time[j] = now
             broadcasts.append((now, node, updated))
@@ -206,7 +211,7 @@ def run_protocol_event(
         else:
             st = on_interval_end(states[node], params, now, rnd)
             states[node] = st
-            schedule(node, st)
+            push(heap, (now + st.t, node, _KIND_TIMER, ep))
 
     if update_time[n] == inf:
         raise NonTerminationError("event queue drained before node n updated")

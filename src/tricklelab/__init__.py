@@ -1,7 +1,6 @@
 """Trickle propagation lab: protocol simulator, renewal analytics, exact laws."""
 
 from .core import (
-    Message,
     NodeState,
     Reaction,
     TAU_INFINITE,
@@ -11,7 +10,6 @@ from .core import (
     on_message,
     on_timer,
     quiet_state,
-    receive_message,
     start_interval,
 )
 from .analytics import (
@@ -43,7 +41,6 @@ from .gf import (
     hop_pmf_gf,
     solve_delay_system,
     solve_hop_system,
-    step_mgf,
     step_moment,
 )
 from .simulate import (

@@ -50,19 +50,6 @@ class AsymptoticStats:
     Z: np.ndarray
     M: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_U": self.mu_U,
-            "mu_theta": self.mu_theta,
-            "gamma_U_sq": self.gamma_U_sq,
-            "gamma_theta_sq": self.gamma_theta_sq,
-            "Delta": self.Delta,
-            "sigma_H_sq": self.sigma_H_sq,
-            "sigma_T_sq": self.sigma_T_sq,
-            "Z": self.Z.tolist(),
-            "M": self.M.tolist(),
-        }
-
 
 def transition_matrix(R: int) -> np.ndarray:
     """P[i-1, j-1] = 1/i for R-i < j <= R, else 0."""

@@ -120,6 +120,11 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--k must be >= 1, got {args.k}")
     if getattr(args, "steps", 2) < 2:
         parser.error(f"--steps must be >= 2, got {args.steps}")
+    if getattr(args, "m_max", None) is not None and args.m_max < 1:
+        parser.error(f"--m-max must be >= 1, got {args.m_max}")
+    tau_h = getattr(args, "tau_h", math.inf)
+    if not tau_h >= 1.0:  # tau_l is 1; also rejects NaN
+        parser.error(f"--tau-h must be >= 1 (tau_l), got {tau_h}")
     if args.command == "compare" and (args.k != 1 or args.tau_h != math.inf):
         parser.error("compare's analytic column is the k=1, unbounded-tau_h "
                      "normal approximation; use simulate for --k > 1 or finite --tau-h")

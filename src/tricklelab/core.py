@@ -42,7 +42,7 @@ class TrickleParams:
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not self.tau_l > 0:
             raise ValueError(f"tau_l must be positive, got {self.tau_l}")
-        if self.tau_h < self.tau_l:
+        if not self.tau_h >= self.tau_l:  # also rejects NaN
             raise ValueError(f"need tau_l <= tau_h, got {self.tau_l} > {self.tau_h}")
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
@@ -61,36 +61,6 @@ class NodeState:
     interval_start: float
     version: int
     has_fired: bool
-
-    def to_dict(self) -> dict:
-        """JSON-safe dict; infinite tau/t encode as the string "inf"."""
-        enc = lambda x: "inf" if x == TAU_INFINITE else x
-        return {
-            "tau": enc(self.tau),
-            "c": self.c,
-            "t": enc(self.t),
-            "interval_start": self.interval_start,
-            "version": self.version,
-            "has_fired": self.has_fired,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NodeState":
-        dec = lambda x: TAU_INFINITE if x == "inf" else float(x)
-        return cls(
-            tau=dec(d["tau"]),
-            c=int(d["c"]),
-            t=dec(d["t"]),
-            interval_start=float(d["interval_start"]),
-            version=int(d["version"]),
-            has_fired=bool(d["has_fired"]),
-        )
-
-
-@dataclass(slots=True)
-class Message:
-    version: int
-    sender: int
 
 
 class Reaction(Enum):
@@ -136,26 +106,26 @@ def _fresh_interval(tau: float, version: int, params: TrickleParams, now: float,
 
 
 def on_message(
-    state: NodeState, params: TrickleParams, msg: Message, now: float
+    state: NodeState, params: TrickleParams, msg_version: int
 ) -> tuple[NodeState, Reaction]:
-    """Process a received message.
+    """Process a received message carrying version `msg_version`.
 
     Consistent (equal version): increment c.  Newer version: adopt it and
     drop tau to tau_l; the caller must then start a new interval (see
-    `needs_new_interval` / `receive_message`).  Older version: drop tau to
-    tau_l if currently above it (new interval required), otherwise no-op.
+    `needs_new_interval`).  Older version: drop tau to tau_l if currently
+    above it (new interval required), otherwise no-op.
     """
     version = state.version
-    if msg.version == version:
+    if msg_version == version:
         return (
             NodeState(state.tau, state.c + 1, state.t, state.interval_start,
                       version, state.has_fired),
             _CONSISTENT,
         )
-    if msg.version > version:
+    if msg_version > version:
         return (
             NodeState(params.tau_l, state.c, state.t, state.interval_start,
-                      msg.version, state.has_fired),
+                      msg_version, state.has_fired),
             _ADOPTED,
         )
     # Heard stale data: rebroadcast soon if we had slowed down.
@@ -179,25 +149,13 @@ def needs_new_interval(old: NodeState, params: TrickleParams, reaction: Reaction
     return reaction is _ADOPTED or old.tau > params.tau_l
 
 
-def receive_message(
-    state: NodeState, params: TrickleParams, msg: Message, now: float, rng
-) -> tuple[NodeState, Reaction, bool]:
-    """`on_message` composed with the interval restart it may trigger."""
-    new_state, reaction = on_message(state, params, msg, now)
-    restarted = needs_new_interval(state, params, reaction)
-    if restarted:
-        new_state = start_interval(new_state, params, now, rng)
-    return new_state, reaction, restarted
-
-
-def on_timer(
-    state: NodeState, params: TrickleParams, now: float, sender: int
-) -> tuple[NodeState, Message | None]:
-    """Fire the broadcast timer: transmit iff fewer than k messages heard."""
+def on_timer(state: NodeState, params: TrickleParams) -> tuple[NodeState, int | None]:
+    """Fire the broadcast timer: transmit the node's version iff fewer than k
+    messages were heard, else return None."""
     fired = NodeState(state.tau, state.c, state.t, state.interval_start,
                       state.version, True)
     if state.c < params.k:
-        return fired, Message(version=state.version, sender=sender)
+        return fired, state.version
     return fired, None
 
 

@@ -50,40 +50,6 @@ def step_moment(j: int, eta: float, r: int) -> float:
     return total
 
 
-def step_mgf(j: int, eta: float, s: float) -> float:
-    """E[exp(s * nu_j)], evaluated through cancellation-free series.
-
-    For lam = s * (1 - eta) >= 0 this is exp(s * eta) * j! * sum_q lam^q /
-    (q + j)!; for lam < 0 the variable is reflected about 1 so all series
-    terms stay positive.
-    """
-    if j < 1:
-        raise ValueError("state index must be >= 1")
-    lam = s * (1.0 - eta)
-    if lam >= 0.0:
-        term = 1.0
-        total = 1.0
-        q = 0
-        while True:
-            q += 1
-            term *= lam / (q + j)
-            total += term
-            if term <= 1e-18 * total:
-                break
-        return math.exp(s * eta) * total
-    mu = -lam
-    term = 1.0 / j
-    total = term
-    q = 0
-    while True:
-        q += 1
-        term = term * mu / q * (q - 1 + j) / (q + j)
-        total += term
-        if term <= 1e-18 * total:
-            break
-    return math.exp(s * eta + lam) * j * total
-
-
 def holding_series(j: int, eta: float, node_degree: int, order: int) -> TruncatedSeries:
     """Holding-time moment series of state j, sum_r E[nu_j^r] t^r / r!, as
     the node-degree-0 row of a (nodes, time) series."""

@@ -23,7 +23,6 @@ import numpy as np
 from scipy.stats import norm
 
 from .core import (
-    Message,
     NodeState,
     Reaction,
     TAU_INFINITE,
@@ -100,11 +99,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return len(self.h_samples)
-
-    def to_csv(self, fileobj) -> None:
-        fileobj.write("rep,H,T\n")
-        for i, (h, t) in enumerate(zip(self.h_samples, self.t_samples)):
-            fileobj.write(f"{i},{int(h)},{float(t)!r}\n")
 
 
 def replication_stream(seed: int, rep: int = 0) -> random.Random:
@@ -184,17 +178,17 @@ def run_protocol_event(
                 f"updated (k={params.k}, tau_h={params.tau_h}, R={R}, n={n})"
             )
         if kind == _KIND_TIMER:
-            st, msg = on_timer(states[node], params, now, node)
+            st, version = on_timer(states[node], params)
             states[node] = st
             push(heap, (st.interval_start + st.tau, node, _KIND_INTERVAL_END, ep))
-            if msg is None:
+            if version is None:
                 continue
             updated = 0
             for j in topo.receivers(node):
                 if j == node:
                     continue
                 old = states[j]
-                new_state, reaction = on_message(old, params, msg, now)
+                new_state, reaction = on_message(old, params, version)
                 if needs_new_interval(old, params, reaction):
                     epochs[j] += 1
                     new_state = start_interval(new_state, params, now, rnd)
@@ -274,35 +268,17 @@ def _renewal_draw(rnd: random.Random, R: int, n: int, eta: float) -> tuple[int, 
     return hops, t
 
 
-def _replication_block(job) -> tuple[int, list[int], list[float]]:
-    params, topo, seed, engine, horizon, start, stop = job
-    hs, ts = [], []
-    for rep in range(start, stop):
-        rnd = replication_stream(seed, rep)
-        if engine == "protocol":
-            trace = run_protocol_event(params, topo, horizon=horizon, rng=rnd)
-            hs.append(trace.hop_count)
-            ts.append(trace.end_to_end_delay)
-        else:
-            h, t = _renewal_draw(rnd, topo.R, topo.n, params.eta)
-            hs.append(h)
-            ts.append(t)
-    return start, hs, ts
-
-
 def monte_carlo(
     params: TrickleParams,
     topo: LineTopology,
     reps: int,
     seed: int = 0,
     engine: str = "protocol",
-    horizon: float | None = None,
-    workers: int = 1,
 ) -> SampleSet:
     """reps independent propagation events, one derived stream per replication.
 
-    Replication rep always uses the stream derived from (seed, rep), so the
-    result is identical for any worker count or execution order.
+    Replication rep always uses the stream derived from (seed, rep), so each
+    sample is independent of the others and of the order they are drawn in.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -312,21 +288,13 @@ def monte_carlo(
         raise ValueError("the renewal engine models k = 1 only")
     h = np.empty(reps, dtype=np.int64)
     t = np.empty(reps, dtype=float)
-    if workers <= 1:
-        blocks = [_replication_block((params, topo, seed, engine, horizon, 0, reps))]
-    else:
-        import multiprocessing
-
-        step = -(-reps // workers)
-        jobs = [
-            (params, topo, seed, engine, horizon, lo, min(lo + step, reps))
-            for lo in range(0, reps, step)
-        ]
-        with multiprocessing.Pool(workers) as pool:
-            blocks = pool.map(_replication_block, jobs)
-    for start, hs, ts in blocks:
-        h[start:start + len(hs)] = hs
-        t[start:start + len(ts)] = ts
+    for rep in range(reps):
+        rnd = replication_stream(seed, rep)
+        if engine == "protocol":
+            trace = run_protocol_event(params, topo, rng=rnd)
+            h[rep], t[rep] = trace.hop_count, trace.end_to_end_delay
+        else:
+            h[rep], t[rep] = _renewal_draw(rnd, topo.R, topo.n, params.eta)
     meta = {
         "R": topo.R,
         "n": topo.n,

@@ -151,12 +151,6 @@ class TestVariances:
                 s_t = (mu_t**2 * g_u + mu_u**2 * g_t - 2 * mu_u * mu_t * delta) / mu_u**3
                 assert s_t >= -1e-14, (R, eta)
 
-    def test_stats_object_serializes_with_expected_fields(self):
-        d = an.asymptotic_stats(3, 0.25).to_dict()
-        assert list(d) == ["mu_U", "mu_theta", "gamma_U_sq", "gamma_theta_sq",
-                           "Delta", "sigma_H_sq", "sigma_T_sq", "Z", "M"]
-        assert len(d["Z"]) == 3 and len(d["M"]) == 3
-
     def test_hop_statistics_do_not_depend_on_eta(self):
         for eta in (0.0, 0.37, 1.0):
             s = an.asymptotic_stats(7, eta)

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from tricklelab.cli import main
+from tricklelab.core import TrickleParams
+from tricklelab.simulate import LineTopology, monte_carlo
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +110,23 @@ class TestSimulate:
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_csv_samples_parse_back_bit_exactly(self, capsys):
+        args = ("simulate", "--R", "4", "--n", "30", "--eta", "0.25",
+                "--reps", "20", "--seed", "3")
+        _, csv_out, _ = run_cli(capsys, *args)
+        _, json_out, _ = run_cli(capsys, *args, "--format", "json")
+        header, *lines = csv_out.strip().split("\n")
+        assert header == "rep,H,T"
+        rows = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in rows] == list(range(20))
+        data = json.loads(json_out)
+        assert [int(r[1]) for r in rows] == data["H"]
+        assert [float(r[2]) for r in rows] == data["T"]
+        ss = monte_carlo(TrickleParams(eta=0.25), LineTopology(n=30, R=4),
+                         reps=20, seed=3, engine="renewal")
+        assert data["H"] == ss.h_samples.tolist()
+        assert data["T"] == ss.t_samples.tolist()
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(SystemExit) as exc:
@@ -157,6 +176,10 @@ class TestValidation:
          "--k", "2", "--tau-h", "4"),                               # no analytic law
         ("sweep-eta", "--R", "3", "--steps", "1"),
         ("nonsense",),
+        ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "0.5"),
+        ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "-1"),
+        ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "nan"),
+        ("gf", "--R", "3", "--n", "5", "--m-max", "-1"),
     ])
     def test_flag_errors_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

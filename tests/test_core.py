@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from tricklelab.core import (
-    Message,
     NodeState,
     Reaction,
     TAU_INFINITE,
@@ -15,8 +14,6 @@ from tricklelab.core import (
     on_interval_end,
     on_message,
     on_timer,
-    quiet_state,
-    receive_message,
     start_interval,
 )
 
@@ -26,6 +23,16 @@ def fresh(tau, version=0, c=0, now=0.0):
                      has_fired=False)
 
 
+def deliver(state, params, version, now, rnd):
+    """A message delivery as the event loop runs it: react, then restart the
+    interval if the reaction calls for it."""
+    out, reaction = on_message(state, params, version)
+    restarted = needs_new_interval(state, params, reaction)
+    if restarted:
+        out = start_interval(out, params, now, rnd)
+    return out, reaction, restarted
+
+
 class TestParams:
     def test_defaults(self):
         p = TrickleParams()
@@ -33,7 +40,7 @@ class TestParams:
 
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"tau_l": 0.0}, {"tau_l": 2.0, "tau_h": 1.0},
-        {"eta": -0.1}, {"eta": 1.5},
+        {"eta": -0.1}, {"eta": 1.5}, {"tau_h": math.nan},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
@@ -89,36 +96,32 @@ class TestOnMessage:
 
     def test_consistent_increments_counter(self):
         st = fresh(1.0, version=0)
-        out, reaction = on_message(st, self.p, Message(version=0, sender=3), 0.4)
+        out, reaction = on_message(st, self.p, 0)
         assert reaction is Reaction.CONSISTENT_HEARD
         assert out.c == 1 and out.interval_start == st.interval_start
         assert not needs_new_interval(st, self.p, reaction)
 
     def test_newer_version_adopted_from_slow_interval(self):
         st = fresh(16.0, version=0)
-        out, reaction, restarted = receive_message(
-            st, self.p, Message(version=1, sender=0), 2.5, random.Random(0))
+        out, reaction, restarted = deliver(st, self.p, 1, 2.5, random.Random(0))
         assert reaction is Reaction.ADOPTED_UPDATE and restarted
         assert out.version == 1 and out.tau == self.p.tau_l
         assert out.interval_start == 2.5 and out.c == 0
 
     def test_adoption_at_minimum_interval_still_resynchronizes(self):
         st = fresh(1.0, version=0, now=1.0)
-        out, reaction, restarted = receive_message(
-            st, self.p, Message(version=3, sender=1), 1.7, random.Random(1))
+        out, reaction, restarted = deliver(st, self.p, 3, 1.7, random.Random(1))
         assert restarted and out.interval_start == 1.7 and out.version == 3
 
     def test_stale_message_resets_slow_node(self):
         st = fresh(8.0, version=2)
-        out, reaction, restarted = receive_message(
-            st, self.p, Message(version=0, sender=4), 3.0, random.Random(2))
+        out, reaction, restarted = deliver(st, self.p, 0, 3.0, random.Random(2))
         assert reaction is Reaction.INCONSISTENCY_RESET and restarted
         assert out.tau == self.p.tau_l and out.version == 2
 
     def test_stale_message_ignored_at_minimum_interval(self):
         st = fresh(1.0, version=1, now=2.0)
-        out, reaction, restarted = receive_message(
-            st, self.p, Message(version=0, sender=4), 2.2, random.Random(3))
+        out, reaction, restarted = deliver(st, self.p, 0, 2.2, random.Random(3))
         assert reaction is Reaction.INCONSISTENCY_RESET and not restarted
         assert out == st
 
@@ -127,23 +130,23 @@ class TestOnTimer:
     def test_broadcasts_below_threshold(self):
         p = TrickleParams(k=1)
         st = fresh(1.0, version=5)
-        out, msg = on_timer(st, p, 0.5, sender=7)
-        assert msg == Message(version=5, sender=7)
+        out, version = on_timer(st, p)
+        assert version == 5
         assert out.has_fired
 
     def test_suppressed_at_threshold(self):
         p = TrickleParams(k=1)
-        out, msg = on_timer(fresh(1.0, c=1), p, 0.5, sender=7)
-        assert msg is None and out.has_fired
+        out, version = on_timer(fresh(1.0, c=1), p)
+        assert version is None and out.has_fired
 
     def test_higher_redundancy_allows_more(self):
         p = TrickleParams(k=2)
-        _, msg = on_timer(fresh(1.0, c=1), p, 0.5, sender=0)
-        assert msg is not None
+        _, version = on_timer(fresh(1.0, c=1), p)
+        assert version is not None
 
     def test_own_broadcast_not_counted(self):
         p = TrickleParams(k=2)
-        out, _ = on_timer(fresh(1.0, c=0), p, 0.5, sender=0)
+        out, _ = on_timer(fresh(1.0, c=0), p)
         assert out.c == 0
 
 
@@ -190,11 +193,9 @@ def test_tau_stays_on_doubling_ladder_and_t_in_window(tau_h_exp, eta, steps, see
             st_node = on_interval_end(st_node, p, now, rnd)
         elif step == "adopt":
             version += 1
-            st_node, _, _ = receive_message(
-                st_node, p, Message(version=version, sender=0), now, rnd)
+            st_node, _, _ = deliver(st_node, p, version, now, rnd)
         else:
-            st_node, _, _ = receive_message(
-                st_node, p, Message(version=0, sender=0), now, rnd)
+            st_node, _, _ = deliver(st_node, p, 0, now, rnd)
         assert st_node.tau in ladder
         assert p.tau_l <= st_node.tau <= p.tau_h
         lo = eta * st_node.tau if st_node.tau == p.tau_l else st_node.tau / 2
@@ -204,22 +205,11 @@ def test_tau_stays_on_doubling_ladder_and_t_in_window(tau_h_exp, eta, steps, see
 def test_at_most_one_broadcast_per_interval():
     p = TrickleParams(k=1)
     st = fresh(1.0)
-    st, msg = on_timer(st, p, 0.5, sender=0)
-    assert msg is not None and st.has_fired
+    st, version = on_timer(st, p)
+    assert version is not None and st.has_fired
     # driver never re-fires within the interval; a fresh interval re-arms
     st2 = start_interval(st, p, 1.0, random.Random(0))
     assert not st2.has_fired
-
-
-def test_node_state_json_roundtrip_with_infinite_tau():
-    st = quiet_state(TrickleParams())
-    d = st.to_dict()
-    assert d["tau"] == "inf"
-    back = NodeState.from_dict(d)
-    assert back == st
-    st2 = NodeState(tau=2.0, c=1, t=1.5, interval_start=0.25, version=3,
-                    has_fired=True)
-    assert NodeState.from_dict(st2.to_dict()) == st2
 
 
 def test_eta_half_window_equals_original_for_every_tau():
@@ -237,7 +227,7 @@ def test_transitions_do_not_mutate_input():
     snapshot = NodeState(st.tau, st.c, st.t, st.interval_start, st.version,
                          st.has_fired)
     start_interval(st, p, 1.0, random.Random(0))
-    on_message(st, p, Message(version=2, sender=0), 0.5)
-    on_timer(st, p, 0.5, sender=0)
+    on_message(st, p, 2)
+    on_timer(st, p)
     on_interval_end(st, p, 1.0, random.Random(0))
     assert st == snapshot

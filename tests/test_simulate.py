@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -12,7 +11,6 @@ from tricklelab.simulate import (
     LineTopology,
     NonTerminationError,
     PropagationTrace,
-    SampleSet,
     estimate_time_variance_rate,
     ks_distance,
     monte_carlo,
@@ -143,14 +141,6 @@ class TestMonteCarlo:
             assert batch.h_samples[rep] == tr.hop_count
             assert batch.t_samples[rep] == tr.end_to_end_delay
 
-    def test_worker_count_does_not_change_samples(self):
-        params, topo = TrickleParams(eta=0.25), LineTopology(n=30, R=5)
-        serial = monte_carlo(params, topo, reps=40, seed=9, engine="renewal")
-        pooled = monte_carlo(params, topo, reps=40, seed=9, engine="renewal",
-                             workers=2)
-        assert np.array_equal(serial.h_samples, pooled.h_samples)
-        assert np.array_equal(serial.t_samples, pooled.t_samples)
-
     def test_meta_fields(self):
         ss = monte_carlo(TrickleParams(eta=0.0), LineTopology(n=4, R=2),
                          reps=2, seed=3, engine="renewal")
@@ -171,23 +161,6 @@ class TestMonteCarlo:
                      (proto.t_samples, renew.t_samples)):
             se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
             assert abs(a.mean() - b.mean()) <= 3 * se
-
-    def test_csv_dump(self):
-        ss = monte_carlo(TrickleParams(eta=0.0), LineTopology(n=4, R=2),
-                         reps=3, seed=3, engine="renewal")
-        buf = io.StringIO()
-        ss.to_csv(buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "rep,H,T"
-        assert len(lines) == 4
-        rep, h, t = lines[1].split(",")
-        assert rep == "0" and float(t) == ss.t_samples[0]
-
-    def test_empty_sample_set_writes_header_only(self):
-        ss = SampleSet(np.array([], dtype=np.int64), np.array([]), {})
-        buf = io.StringIO()
-        ss.to_csv(buf)
-        assert buf.getvalue() == "rep,H,T\n"
 
 
 class TestHoldingTimeLaw:

@@ -43,10 +43,6 @@ def _parse_tau(text: str) -> float:
     return float(text)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("TRICKLE_LAB_SEED", "0"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tricklelab",
@@ -116,6 +112,14 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--eta must lie in [0, 1], got {eta}")
     if getattr(args, "reps", 1) < 1:
         parser.error(f"--reps must be >= 1, got {args.reps}")
+    if "seed" in args and args.seed is None:  # fill in the default seed
+        text = os.environ.get("TRICKLE_LAB_SEED", "0")
+        try:
+            args.seed = int(text)
+        except ValueError:
+            parser.error(f"TRICKLE_LAB_SEED must be an integer, got {text!r}")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"the seed (--seed or TRICKLE_LAB_SEED) must be >= 0, got {args.seed}")
     if getattr(args, "k", 1) < 1:
         parser.error(f"--k must be >= 1, got {args.k}")
     if getattr(args, "steps", 2) < 2:
@@ -152,14 +156,18 @@ def _fmt(value) -> str:
 def emit(dataset: dict, output_format: str, out_path: str | None) -> None:
     """Write a dataset as CSV (header + rows) or JSON with stable key order.
 
-    `dataset` carries `columns` + `rows` for tabular output and `json` for
-    the JSON rendering.
+    `dataset` carries `columns` plus either `rows` of values or `lines` of
+    already formatted CSV rows for tabular output, and `json` for the JSON
+    rendering.
     """
     if output_format == "json":
         text = json.dumps(dataset["json"], indent=2) + "\n"
     else:
         lines = [",".join(dataset["columns"])]
-        lines.extend(",".join(_fmt(v) for v in row) for row in dataset["rows"])
+        if "lines" in dataset:
+            lines.extend(dataset["lines"])
+        else:
+            lines.extend(",".join(_fmt(v) for v in row) for row in dataset["rows"])
         text = "\n".join(lines) + "\n"
     try:
         if out_path is None:
@@ -246,23 +254,22 @@ def _cmd_gf(args) -> dict:
 def _run_samples(args):
     params = TrickleParams(k=args.k, tau_h=args.tau_h, eta=args.eta)
     topo = LineTopology(n=args.n, R=args.R)
-    seed = args.seed if args.seed is not None else _default_seed()
-    return monte_carlo(params, topo, args.reps, seed=seed, engine=args.engine), seed
+    return monte_carlo(params, topo, args.reps, seed=args.seed, engine=args.engine)
 
 
 def _cmd_simulate(args) -> dict:
-    samples, seed = _run_samples(args)
-    rows = [[i, int(h), float(t)] for i, (h, t) in
-            enumerate(zip(samples.h_samples, samples.t_samples))]
+    samples = _run_samples(args)
+    h = samples.h_samples.tolist()
+    t = samples.t_samples.tolist()
     payload = dict(samples.meta)
-    payload["seed"] = seed
-    payload["H"] = [int(h) for h in samples.h_samples]
-    payload["T"] = [float(t) for t in samples.t_samples]
-    return {"columns": ["rep", "H", "T"], "rows": rows, "json": payload}
+    payload["H"] = h
+    payload["T"] = t
+    lines = [f"{i},{hi},{ti!r}" for i, (hi, ti) in enumerate(zip(h, t))]
+    return {"columns": ["rep", "H", "T"], "lines": lines, "json": payload}
 
 
 def _cmd_compare(args) -> dict:
-    samples, seed = _run_samples(args)
+    samples = _run_samples(args)
     (mean_h, std_h), (mean_t, std_t) = analytics.normal_approx(args.R, args.eta, args.n)
     h = samples.h_samples.astype(float)
     t = samples.t_samples
@@ -279,7 +286,7 @@ def _cmd_compare(args) -> dict:
     ]
     payload = {
         "R": args.R, "n": args.n, "eta": args.eta, "k": args.k,
-        "reps": args.reps, "seed": seed, "engine": args.engine,
+        "reps": args.reps, "seed": args.seed, "engine": args.engine,
         "table": [{"metric": m, "empirical": e, "analytic": a} for m, e, a in rows],
     }
     return {"columns": ["metric", "empirical", "analytic"], "rows": rows,

@@ -3,12 +3,16 @@
 One propagation event: n + 1 nodes at unit spacing, broadcast range R, all
 idle at tau = tau_h until an update appears at node 0 at time 0.  The
 simulator replays the full per-node state machine from :mod:`tricklelab.core`
-through a time-ordered event queue.  `sample_renewal_event` draws the same
+through a time-ordered event queue.  The renewal engine draws the same
 (hop count, delay) law directly from the update-size chain, which is exact
 for k = 1 with unbounded tau_h and orders of magnitude cheaper.
 
-Replication streams derive from (seed, replication index), so Monte Carlo
-results do not depend on execution order and replications can run anywhere.
+The two engines split their random streams differently.  The protocol
+engine draws each replication from its own stream, derived from (seed,
+replication index), so a protocol sample does not depend on execution order.
+The renewal engine samples replications in lockstep, in blocks of
+RENEWAL_BLOCK lanes: block b draws from a generator derived from (seed, b),
+so a full block's samples do not depend on `reps` or on the other blocks.
 """
 
 from __future__ import annotations
@@ -37,6 +41,10 @@ from .core import (
 
 _KIND_TIMER = 0
 _KIND_INTERVAL_END = 1
+
+# Lanes per renewal block: the unit of the renewal engine's random streams,
+# and the bound on its working memory.
+RENEWAL_BLOCK = 1 << 14
 
 
 class NonTerminationError(RuntimeError):
@@ -246,26 +254,53 @@ def sample_renewal_event(R: int, n: int, eta: float, seed: int = 0) -> tuple[int
 
     Matches the k = 1, unbounded-tau_h protocol law: starting from a single
     updated node, each broadcast updates u' uniform on {R - u + 1, ..., R}
-    after a holding time eta + (1 - eta) * Beta(1, u).
+    after a holding time eta + (1 - eta) * Beta(1, u).  The pair is the
+    renewal engine's replication 0 of a one-replication run with this seed.
     """
     if R < 1 or n < 1 or not 0.0 <= eta <= 1.0:
         raise ValueError(f"bad renewal parameters R={R}, n={n}, eta={eta}")
-    return _renewal_draw(replication_stream(seed, 0), R, n, eta)
+    h, t = _renewal_samples(R, n, eta, 1, seed)
+    return int(h[0]), float(t[0])
 
 
-def _renewal_draw(rnd: random.Random, R: int, n: int, eta: float) -> tuple[int, float]:
-    rr = rnd.random
+def _renewal_samples(R: int, n: int, eta: float, reps: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """reps chain samples, cut into blocks of RENEWAL_BLOCK lanes."""
+    h = np.empty(reps, dtype=np.int64)
+    t = np.empty(reps, dtype=float)
+    for b, lo in enumerate(range(0, reps, RENEWAL_BLOCK)):
+        hi = min(lo + RENEWAL_BLOCK, reps)
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), b]))
+        _renewal_block(rng, R, n, eta, h[lo:hi], t[lo:hi])
+    return h, t
+
+
+def _renewal_block(rng: np.random.Generator, R: int, n: int, eta: float,
+                   h_out: np.ndarray, t_out: np.ndarray) -> None:
+    """Run len(h_out) chains in lockstep until each covers n nodes.
+
+    Every step draws a (2, live) uniform array for the live lanes: row 0
+    gives the holding time, row 1 the next update size.  The live set and
+    the size path never depend on eta, so neither does the hop count.
+    """
     spread = 1.0 - eta
-    u = 1
-    covered = 0
+    lane = np.arange(len(h_out))
+    u = np.ones(len(h_out), dtype=np.int64)
+    covered = np.zeros(len(h_out), dtype=np.int64)
+    t = np.zeros(len(h_out))
     hops = 0
-    t = 0.0
-    while covered < n:
-        t += eta + spread * (1.0 - rr() ** (1.0 / u))
-        u = R - int(u * rr())
+    while lane.size:
+        x = rng.random((2, lane.size))
+        t += eta + spread * (1.0 - x[0] ** (1.0 / u))
+        u = R - (u * x[1]).astype(np.int64)
         covered += u
         hops += 1
-    return hops, t
+        done = covered >= n
+        if done.any():
+            h_out[lane[done]] = hops
+            t_out[lane[done]] = t[done]
+            live = ~done
+            lane, u, covered, t = lane[live], u[live], covered[live], t[live]
 
 
 def monte_carlo(
@@ -275,10 +310,14 @@ def monte_carlo(
     seed: int = 0,
     engine: str = "protocol",
 ) -> SampleSet:
-    """reps independent propagation events, one derived stream per replication.
+    """reps independent propagation events.
 
-    Replication rep always uses the stream derived from (seed, rep), so each
-    sample is independent of the others and of the order they are drawn in.
+    The protocol engine runs replication rep on the stream derived from
+    (seed, rep), so each of its samples is independent of the order they are
+    drawn in.  The renewal engine samples blocks of RENEWAL_BLOCK
+    replications in lockstep, block b from a generator derived from
+    (seed, b); replications 0 .. RENEWAL_BLOCK - 1 come out the same for
+    every reps >= RENEWAL_BLOCK.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -286,15 +325,14 @@ def monte_carlo(
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "renewal" and params.k != 1:
         raise ValueError("the renewal engine models k = 1 only")
-    h = np.empty(reps, dtype=np.int64)
-    t = np.empty(reps, dtype=float)
-    for rep in range(reps):
-        rnd = replication_stream(seed, rep)
-        if engine == "protocol":
-            trace = run_protocol_event(params, topo, rng=rnd)
+    if engine == "renewal":
+        h, t = _renewal_samples(topo.R, topo.n, params.eta, reps, seed)
+    else:
+        h = np.empty(reps, dtype=np.int64)
+        t = np.empty(reps, dtype=float)
+        for rep in range(reps):
+            trace = run_protocol_event(params, topo, rng=replication_stream(seed, rep))
             h[rep], t[rep] = trace.hop_count, trace.end_to_end_delay
-        else:
-            h[rep], t[rep] = _renewal_draw(rnd, topo.R, topo.n, params.eta)
     meta = {
         "R": topo.R,
         "n": topo.n,

@@ -259,7 +259,7 @@ def test_criterion_7_normal_limit():
         doubling = []
         for n in (250, 500):
             ss = monte_carlo(TrickleParams(k=1, eta=0.0),
-                             LineTopology(n=n, R=5), reps=20_000,
+                             LineTopology(n=n, R=5), reps=1_000_000,
                              seed=711, engine="renewal")
             mean, var = gf.delay_moments_dp(5, 0.0, n)
             doubling.append(ks_distance(ss.t_samples, (mean, math.sqrt(var))))

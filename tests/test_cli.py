@@ -180,10 +180,18 @@ class TestValidation:
         ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "-1"),
         ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "nan"),
         ("gf", "--R", "3", "--n", "5", "--m-max", "-1"),
+        ("simulate", "--R", "2", "--n", "5", "--reps", "2", "--seed", "-1"),
+        ("TRICKLE_LAB_SEED=abc", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
+        ("TRICKLE_LAB_SEED=-3", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
     ])
-    def test_flag_errors_exit_2(self, capsys, argv):
+    def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
+        # leading NAME=value items set environment variables
+        argv = list(argv)
+        while "=" in argv[0]:
+            name, value = argv.pop(0).split("=", 1)
+            monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit) as exc:
-            main(list(argv))
+            main(argv)
         assert exc.value.code == 2
 
     def test_tau_h_inf_literal_accepted(self, capsys):

@@ -7,6 +7,7 @@ from scipy.stats import kstest, norm
 from tricklelab import gf
 from tricklelab.core import TrickleParams
 from tricklelab.simulate import (
+    RENEWAL_BLOCK,
     DegenerateInputError,
     LineTopology,
     NonTerminationError,
@@ -97,12 +98,43 @@ class TestProtocolEvent:
         assert json.loads(tr.to_json()) == d
 
 
+def _renewal(R, n, eta, reps, seed):
+    ss = monte_carlo(TrickleParams(eta=eta), LineTopology(n=n, R=R), reps=reps,
+                     seed=seed, engine="renewal")
+    return ss.h_samples, ss.t_samples
+
+
+def _reference_block(R, n, eta, lanes, seed, block=0):
+    """The update-size chain run lane by lane in scalar arithmetic, fed the
+    uniforms the block sampler draws: (2, live) per step, live lanes in
+    ascending order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, block]))
+    state = {lane: (1, 0, 0.0) for lane in range(lanes)}  # size, covered, time
+    h, t = [0] * lanes, [0.0] * lanes
+    hops = 0
+    while state:
+        x = rng.random((2, len(state))).tolist()
+        hops += 1
+        for j, lane in enumerate(sorted(state)):
+            u, covered, tt = state.pop(lane)
+            tt += eta + (1.0 - eta) * (1.0 - x[0][j] ** (1.0 / u))
+            u = R - int(u * x[1][j])
+            covered += u
+            if covered >= n:
+                h[lane], t[lane] = hops, tt
+            else:
+                state[lane] = (u, covered, tt)
+    return np.array(h), np.array(t)
+
+
 class TestRenewalSampler:
     def test_unit_range_is_deterministic_hop_count(self):
         for eta in (0.0, 0.7):
             h, t = sample_renewal_event(1, 5, eta, seed=1)
             assert h == 5
             assert 5 * eta <= t <= 5.0
+            h, _ = _renewal(1, 17, eta, 200, seed=3)
+            assert np.all(h == 17)
 
     def test_two_state_hop_split(self):
         ss = monte_carlo(TrickleParams(eta=0.0), LineTopology(n=4, R=2),
@@ -118,10 +150,68 @@ class TestRenewalSampler:
             h0, _ = sample_renewal_event(4, 60, 0.0, seed=seed)
             h5, _ = sample_renewal_event(4, 60, 0.5, seed=seed)
             assert h0 == h5
+        h0, _ = _renewal(4, 60, 0.0, 3000, seed=2)
+        h7, _ = _renewal(4, 60, 0.7, 3000, seed=2)
+        assert np.array_equal(h0, h7)
 
     def test_delay_at_least_eta_per_hop(self):
         h, t = sample_renewal_event(3, 50, 0.4, seed=9)
         assert t >= 0.4 * h
+        for eta in (0.0, 0.3, 0.8):
+            h, t = _renewal(6, 70, eta, 2000, seed=8)
+            slack = 1e-12 * h
+            assert np.all(eta * h <= t + slack)
+            assert np.all(t <= h + slack)
+
+    def test_matches_scalar_chain_on_the_same_uniforms(self):
+        for R, n, eta in ((4, 30, 0.25), (1, 7, 0.0), (9, 100, 0.6)):
+            h, t = _renewal(R, n, eta, 300, seed=21)
+            ref_h, ref_t = _reference_block(R, n, eta, 300, seed=21)
+            assert np.array_equal(h, ref_h)
+            np.testing.assert_allclose(t, ref_t, rtol=1e-13, atol=0.0)
+
+    def test_single_event_is_a_one_replication_run(self):
+        for seed in (0, 5):
+            h, t = _renewal(3, 40, 0.2, 1, seed)
+            assert sample_renewal_event(3, 40, 0.2, seed=seed) == (h[0], t[0])
+
+    def test_same_seed_and_reps_give_bit_equal_arrays(self):
+        a = _renewal(5, 80, 0.3, 5000, seed=4)
+        b = _renewal(5, 80, 0.3, 5000, seed=4)
+        assert a[0].tobytes() == b[0].tobytes()
+        assert a[1].tobytes() == b[1].tobytes()
+        c = _renewal(5, 80, 0.3, 5000, seed=5)
+        assert c[1].tobytes() != a[1].tobytes()
+
+    def test_blocks_are_the_sharding_unit(self):
+        full_h, full_t = _renewal(4, 20, 0.5, RENEWAL_BLOCK, seed=9)
+        h, t = _renewal(4, 20, 0.5, RENEWAL_BLOCK + 1, seed=9)
+        assert len(h) == len(t) == RENEWAL_BLOCK + 1
+        assert np.array_equal(h[:RENEWAL_BLOCK], full_h)
+        assert t[:RENEWAL_BLOCK].tobytes() == full_t.tobytes()
+        ref_h, ref_t = _reference_block(4, 20, 0.5, 1, seed=9, block=1)
+        assert h[-1] == ref_h[0]
+        assert t[-1] == pytest.approx(ref_t[0], rel=1e-13)
+
+    def test_listen_only_delay_equals_hop_count(self):
+        h, t = _renewal(5, 90, 1.0, 2000, seed=6)
+        assert np.array_equal(t, h.astype(float))
+
+    @pytest.mark.parametrize("R,n,eta", [(2, 40, 0.3), (5, 100, 0.0), (10, 150, 0.8)])
+    def test_moments_match_the_exact_law(self, R, n, eta):
+        reps = 40_000
+        h, t = _renewal(R, n, eta, reps, seed=31)
+        pmf, mean_t, var_t = gf.exact_law_dp(R, eta, n)
+        m = np.arange(len(pmf))
+        mean_h = float(m @ pmf)
+        central_h = m - mean_h
+        var_h = float(central_h**2 @ pmf)
+        mu4_h = float(central_h**4 @ pmf)
+        mu4_t = float(np.mean((t - t.mean()) ** 4))  # no exact fourth moment of T
+        for x, mean, var, mu4 in ((h.astype(float), mean_h, var_h, mu4_h),
+                                  (t, mean_t, var_t, mu4_t)):
+            assert abs(x.mean() - mean) <= 5 * math.sqrt(var / reps)
+            assert abs(x.var(ddof=1) - var) <= 6 * math.sqrt((mu4 - var**2) / reps)
 
 
 class TestMonteCarlo:

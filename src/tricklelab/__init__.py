@@ -32,7 +32,6 @@ from .analytics import (
 )
 from .series import TruncatedSeries, geometric
 from .gf import (
-    FirstPassageGF,
     TruncationInsufficientError,
     delay_moments_dp,
     delay_moments_gf,
@@ -49,7 +48,6 @@ from .simulate import (
     NonTerminationError,
     PropagationTrace,
     SampleSet,
-    estimate_time_variance_rate,
     ks_distance,
     monte_carlo,
     run_protocol_event,

@@ -6,9 +6,10 @@ on {1, ..., R} (from state i, uniform on {R-i+1, ..., R}), and the time
 between broadcasts given state u is eta + (1 - eta) * Beta(1, u), the minimum
 of u timers drawn uniformly on [eta, 1].  Everything here is per unit tau_l.
 
-Each quantity has a closed form (production path) and, where transcription
-is error-prone, an independent matrix path (linear solves and chain-power
-sums) used by the test suite as an oracle.
+Each quantity has a closed form; where transcription is error-prone, the
+test suite checks it against an independent matrix path (chain-power sums).
+The exact finite-size laws, from the visit transforms of this chain, are in
+tricklelab.gf.
 """
 
 from __future__ import annotations
@@ -218,48 +219,3 @@ def minimize_delay_variance(R: int) -> tuple[float, float]:
             candidates.append((sigma_T_sq(R, vertex), vertex))
     value, eta = min(candidates)
     return eta, value
-
-
-# --- independent matrix-path oracles (kept free of the closed forms) -------
-
-
-def cov_update_sizes_matrix(R: int, j: int) -> float:
-    """Cov[U_0, U_j] from stationary weights and j-step transition powers."""
-    model = build_markov(R)
-    v = np.arange(1, R + 1, dtype=float)
-    pj = np.linalg.matrix_power(model.P, j)
-    mean = float(model.pi @ v)
-    return float(model.pi @ (v * (pj @ v))) - mean * mean
-
-
-def gamma_U_sq_matrix(R: int, lags: int = 120) -> float:
-    """Var[U_0] + 2 sum_j Cov[U_0, U_j] via transition powers."""
-    model = build_markov(R)
-    v = np.arange(1, R + 1, dtype=float)
-    mean = float(model.pi @ v)
-    total = float(model.pi @ (v * v)) - mean * mean
-    pj = np.eye(R)
-    for _ in range(1, lags + 1):
-        pj = pj @ model.P
-        total += 2.0 * (float(model.pi @ (v * (pj @ v))) - mean * mean)
-    return total
-
-
-def cov_theta1_uj_matrix(R: int, eta: float, j: int) -> float:
-    """Cov[theta_1, U_j] via conditional holding means and transition powers."""
-    model = build_markov(R)
-    i = np.arange(1, R + 1, dtype=float)
-    mean_hold = eta + (1.0 - eta) / (i + 1.0)
-    pj = np.linalg.matrix_power(model.P, j)
-    mu_t = float(model.pi @ mean_hold)
-    mu_u = float(model.pi @ i)
-    return float(model.pi @ (mean_hold * (pj @ i))) - mu_t * mu_u
-
-
-def delta_truncated_sum(R: int, eta: float, lags: int = 40) -> float:
-    """Delta as the truncated covariance sum, relying on chain reversibility
-    to fold the forward cross-terms onto Cov[theta_1, U_j]."""
-    total = cov_theta1_uj_matrix(R, eta, 0)
-    for j in range(1, lags + 1):
-        total += 2.0 * cov_theta1_uj_matrix(R, eta, j)
-    return total

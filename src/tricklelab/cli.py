@@ -129,6 +129,8 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     tau_h = getattr(args, "tau_h", math.inf)
     if not tau_h >= 1.0:  # tau_l is 1; also rejects NaN
         parser.error(f"--tau-h must be >= 1 (tau_l), got {tau_h}")
+    if args.command == "compare" and args.reps < 2:
+        parser.error(f"compare needs --reps >= 2 for sample variances, got {args.reps}")
     if args.command == "compare" and (args.k != 1 or args.tau_h != math.inf):
         parser.error("compare's analytic column is the k=1, unbounded-tau_h "
                      "normal approximation; use simulate for --k > 1 or finite --tau-h")
@@ -242,7 +244,9 @@ def _cmd_gf(args) -> dict:
     pad = lambda a: np.pad(a, (0, width - len(a)))
     pmf_err = float(np.max(np.abs(pad(pmf) - pad(dp_pmf))))
     mean_err = abs(mean - dp_mean) / dp_mean
-    var_err = abs(variance - dp_var) / dp_var
+    # relative to the variance, but no finer than 1e-4 of E[T^2]: below that
+    # both variances are cancellation noise of E[T^2] - E[T]^2
+    var_err = abs(variance - dp_var) / max(dp_var, 1e-4 * moments[1])
     if pmf_err > GF_DP_TOL or mean_err > GF_DP_TOL or var_err > GF_DP_TOL:
         raise EngineMismatchError(
             f"generating-function results drifted from the DP oracle: "

@@ -2,10 +2,12 @@
 
 Two independent routes to the same laws:
 
-* a transform route: first-passage generating functions of the update-size
-  chain, solved as linear systems over a truncated series ring, assembled
-  into a master series whose coefficients are P[hops = m at size n] (or the
-  delay moment generating function at size n);
+* a transform route: the visit transforms of the update-size chain, one per
+  state u, counting the visits to u by nodes covered and hops taken (or
+  elapsed time, as moment-series coefficients), solved as one linear system
+  over a truncated series ring and assembled into a master series whose
+  coefficients are P[hops = m at size n] (or the delay moment generating
+  function at size n);
 * a dynamic-programming route: one forward pass over (nodes covered, last
   update size) that carries the probability and the first two moments of
   elapsed time together, yielding the hop pmf and the delay mean and
@@ -18,12 +20,13 @@ and the delay is one timer draw, uniform on [eta, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import transition_matrix
-from .series import TruncatedSeries, geometric
+# nothing here inverts a series; geometric stays importable as gf.geometric
+# because the benchmark tracer (perfbench/tracer.py) wraps it under that name
+from .series import TruncatedSeries, geometric  # noqa: F401
 
 HOP_VAR = "hops"
 NODE_VAR = "nodes"
@@ -50,112 +53,88 @@ def step_moment(j: int, eta: float, r: int) -> float:
     return total
 
 
-def holding_series(j: int, eta: float, node_degree: int, order: int) -> TruncatedSeries:
-    """Holding-time moment series of state j, sum_r E[nu_j^r] t^r / r!, as
-    the node-degree-0 row of a (nodes, time) series."""
-    coeffs = np.zeros((node_degree + 1, order + 1))
-    coeffs[0, :] = [step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)]
-    return TruncatedSeries((NODE_VAR, TIME_VAR), coeffs)
+def holding_series(j: int, eta: float, order: int) -> np.ndarray:
+    """Coefficients of state j's holding-time moment series,
+    sum_r E[nu_j^r] t^r / r! for r <= order."""
+    return np.array([step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)])
 
 
-# --- first-passage systems ---------------------------------------------------
+# --- visit transforms ---------------------------------------------------------
+#
+# V[u] sums, over the steps m of the chain started in state 1 with nothing
+# covered, z^(nodes covered after m steps) times a hop or time weight on the
+# event that the chain is in state u after m steps.  It solves
+#     V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]),
+# where step_i charges one transition out of state i on the second variable.
 
 
-@dataclass(slots=True)
-class FirstPassageGF:
-    """Transforms of (reward, elapsed) between first entrances to `target`.
-
-    `table[i - 1]` is the transform starting from state i.  Hop mode tracks
-    (nodes updated, steps taken); delay mode tracks (nodes updated, elapsed
-    time) with the time axis holding moment-series coefficients.
-    """
-
-    R: int
-    target: int
-    table: list[TruncatedSeries]
+def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:
+    """One transition out of state i + 1 in hop mode: one more hop."""
+    return s.shifted((0, 1))
 
 
-def _solve_first_passage(R, variables, degrees, sweeps, step) -> list[FirstPassageGF]:
-    """Fixed point of table[i] = step(i, P[i,t] z^t + sum_{k != t} P[i,k] z^k table[k])
-    for every target t, where z counts nodes and `step` charges one transition
-    out of state i on the second variable."""
+def _delay_step(R: int, eta: float, order: int):
+    """One transition out of state i + 1 in delay mode: the product with that
+    state's holding-time moment series.  The series has only time terms, so
+    the product is a sum of time shifts, free of FFT round-off."""
+    hold = [holding_series(j, eta, order) for j in range(1, R + 1)]
+    return lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+
+
+def _solve_visits(R, variables, degrees, sweeps, step) -> list[TruncatedSeries]:
+    """Jacobi sweeps of the visit system from zero; after t sweeps every path
+    of fewer than t steps is accounted for."""
     P = transition_matrix(R)
-    out = []
-    for target in range(1, R + 1):
-        arrive = [
-            TruncatedSeries.monomial(variables, degrees, (target, 0), P[i, target - 1])
-            for i in range(R)
+    zero = TruncatedSeries.zeros(variables, degrees)
+    visits = [zero] * R
+    for _ in range(sweeps):
+        stepped = [step(i, v) for i, v in enumerate(visits)]
+        visits = [
+            sum((P[i, k] * stepped[i] for i in range(R) if P[i, k]), zero).shifted((k + 1, 0))
+            for k in range(R)
         ]
-        table = [TruncatedSeries.zeros(variables, degrees) for _ in range(R)]
-        for _ in range(sweeps):
-            new = []
-            for i in range(R):
-                acc = arrive[i]
-                for k in range(1, R + 1):
-                    if k == target or P[i, k - 1] == 0.0:
-                        continue
-                    acc = acc + P[i, k - 1] * table[k - 1].shifted((k, 0))
-                new.append(step(i, acc))
-            table = new
-        out.append(FirstPassageGF(R=R, target=target, table=table))
-    return out
+        visits[0] = visits[0] + 1.0
+    return visits
 
 
-def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[FirstPassageGF]:
-    """First-passage transforms for every target state, hop mode: each step
-    multiplies by the step variable.
+def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[TruncatedSeries]:
+    """Visit transforms V[1..R] in hop mode, as (nodes, hops) series.
 
-    Fixed-point iteration: the t-th sweep accounts for all paths of at most
-    t steps, and a path of t steps carries node degree >= t and step degree
-    exactly t, so min(node_degree, step_degree) + 1 sweeps reach the exact
-    truncated solution.
+    A path of m steps carries node degree >= m and hop degree exactly m, so
+    min(node_degree, step_degree) + 1 sweeps reach the exact truncated
+    solution.
     """
-    return _solve_first_passage(
-        R, (NODE_VAR, HOP_VAR), (node_degree, step_degree),
-        min(node_degree, step_degree) + 1, lambda i, s: s.shifted((0, 1)))
+    return _solve_visits(R, (NODE_VAR, HOP_VAR), (node_degree, step_degree),
+                         min(node_degree, step_degree) + 1, _hop_step)
 
 
-def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[FirstPassageGF]:
-    """First-passage transforms in delay mode: one step from state i costs a
-    factor of the holding-time transform of state i and z^k on arrival at k."""
-    hold = [holding_series(i, eta, node_degree, order).coeffs[0] for i in range(1, R + 1)]
-
-    def step(i: int, s: TruncatedSeries) -> TruncatedSeries:
-        # the holding series has only time terms, so the product is a sum of
-        # time shifts; exact, where a 2-D convolution may add round-off to
-        # the zero constant term that geometric() relies on
-        return sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
-
-    return _solve_first_passage(
-        R, (NODE_VAR, TIME_VAR), (node_degree, order), node_degree + 1, step)
+def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[TruncatedSeries]:
+    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose
+    time axis holds moment-series coefficients; node_degree + 1 sweeps."""
+    return _solve_visits(R, (NODE_VAR, TIME_VAR), (node_degree, order),
+                         node_degree + 1, _delay_step(R, eta, order))
 
 
 # --- master series and extraction ---------------------------------------------
 
 
+def _master_series(visits: list[TruncatedSeries], step) -> TruncatedSeries:
+    """1/(1-z) - z/(1-z) sum_u (V[u] - step_u(V[u])), z counting nodes.
+
+    With Z_m the nodes covered after m steps, the hop count at size n is m
+    with probability P[Z_(m-1) < n] - P[Z_m < n], and the delay is the time
+    of those m steps; row n of this series is therefore the hop pgf (or the
+    delay moment series) at size n.  Division by 1 - z is a cumulative sum.
+    """
+    leave = sum(v - step(i, v) for i, v in enumerate(visits)).shifted((1, 0))
+    coeffs = -np.cumsum(leave.coeffs, axis=0)
+    coeffs[:, 0] += 1.0
+    return TruncatedSeries(leave.variables, coeffs)
+
+
 def hop_master_series(R: int, n_max: int, m_max: int) -> TruncatedSeries:
-    """Series whose (m, n) coefficient is P[hop count = m at size n]."""
-    systems = solve_hop_system(R, n_max, m_max)
-    variables = (HOP_VAR, NODE_VAR)
-    degrees = (m_max, n_max)
-    bracket = TruncatedSeries.constant(1.0, variables, degrees)
-    for fp in systems:
-        first = fp.table[0].transposed()  # from state 1
-        back = fp.table[fp.target - 1].transposed()
-        bracket = bracket + first * geometric(back)
-    ones_nodes = TruncatedSeries.zeros(variables, degrees)
-    ones_nodes.coeffs[0, :] = 1.0  # 1 / (1 - z_nodes)
-    shifted_mix = (ones_nodes * bracket).shifted((0, 1))
-    master = shifted_mix.shifted((1, 0)) - shifted_mix + ones_nodes
-    return master
-
-
-def hop_pmf_table(R: int, n_max: int, m_max: int | None = None) -> np.ndarray:
-    """Matrix [m, n] of exact hop-count probabilities for all n <= n_max."""
-    if m_max is None:
-        m_max = n_max
-    master = hop_master_series(R, n_max, m_max)
-    return master.coeffs
+    """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n]."""
+    return _master_series(solve_hop_system(R, n_max, m_max), _hop_step)
 
 
 def hop_pmf_gf(R: int, n: int, m_max: int | None = None) -> np.ndarray:
@@ -169,7 +148,7 @@ def hop_pmf_gf(R: int, n: int, m_max: int | None = None) -> np.ndarray:
     explicit = m_max is not None
     if m_max is None:
         m_max = n
-    pmf = hop_pmf_table(R, n, m_max)[:, n]
+    pmf = hop_master_series(R, n, m_max).coeffs[n, :]
     tail = abs(1.0 - pmf.sum())
     if tail > PMF_TAIL_TOL:
         if explicit:
@@ -184,20 +163,9 @@ def hop_pmf_gf(R: int, n: int, m_max: int | None = None) -> np.ndarray:
 
 
 def delay_master_series(R: int, eta: float, n_max: int, order: int = 2) -> TruncatedSeries:
-    """Series whose row n holds the delay moment series at size n."""
-    systems = solve_delay_system(R, eta, n_max, order)
-    variables = (NODE_VAR, TIME_VAR)
-    degrees = (n_max, order)
-
-    bracket = 1.0 - holding_series(1, eta, n_max, order)
-    for fp in systems:
-        first = fp.table[0]
-        back = fp.table[fp.target - 1]
-        bracket = bracket + (1.0 - holding_series(fp.target, eta, n_max, order)) * (
-            first * geometric(back))
-    geo = TruncatedSeries.zeros(variables, degrees)
-    geo.coeffs[:, 0] = 1.0  # 1 / (1 - z_nodes)
-    return geo - (geo * bracket).shifted((1, 0))
+    """(nodes, time) series whose row n holds the delay moment series at size n."""
+    return _master_series(solve_delay_system(R, eta, n_max, order),
+                          _delay_step(R, eta, order))
 
 
 def delay_moments_gf(R: int, eta: float, n: int, order: int = 2) -> list[float]:

@@ -110,18 +110,6 @@ class TruncatedSeries:
             out[dst] = self.coeffs[src]
         return TruncatedSeries(self.variables, out)
 
-    def transposed(self) -> "TruncatedSeries":
-        """Swap the two variables of a bivariate series."""
-        if self.coeffs.ndim != 2:
-            raise ValueError("transpose requires a bivariate series")
-        return TruncatedSeries((self.variables[1], self.variables[0]), self.coeffs.T)
-
-    def eliminate(self, variable: str) -> "TruncatedSeries":
-        """Set one variable to 1 by summing its axis out."""
-        axis = self.variables.index(variable)
-        rest = tuple(v for i, v in enumerate(self.variables) if i != axis)
-        return TruncatedSeries(rest, self.coeffs.sum(axis=axis))
-
 
 def geometric(series: TruncatedSeries) -> TruncatedSeries:
     """1 / (1 - g) for a series g with zero constant term.

@@ -356,39 +356,3 @@ def ks_distance(samples, standardization: tuple[float, float]) -> float:
     cdf = norm.cdf(x)
     grid = np.arange(len(x) + 1) / len(x)
     return float(max(np.max(cdf - grid[:-1]), np.max(grid[1:] - cdf)))
-
-
-def stationary_chain_path(R: int, steps: int, seed: int = 0) -> np.ndarray:
-    """Sample the update-size chain from its stationary law for `steps` steps."""
-    rnd = replication_stream(seed, 0)
-    rr = rnd.random
-    # stationary law puts weight 2j / (R (R + 1)) on state j
-    cum = np.cumsum(2.0 * np.arange(1, R + 1) / (R * (R + 1)))
-    u = int(np.searchsorted(cum, rr())) + 1
-    out = np.empty(steps, dtype=np.int64)
-    for m in range(steps):
-        out[m] = u
-        u = R - int(u * rr())
-    return out
-
-
-def estimate_time_variance_rate(
-    R: int, eta: float, steps: int, seed: int = 0, batch_len: int = 100
-) -> float:
-    """Monte Carlo estimate of lim Var[total transmission time] / steps.
-
-    Simulates the stationary update-size chain and integrates the holding
-    times out conditionally: the variance rate splits into the batch-means
-    variance of per-state mean holding times (serial dependence) plus the
-    path average of per-state holding-time variances.  Conditioning removes
-    the holding-time sampling noise, keeping the estimate well inside a few
-    percent at 10^6 steps.
-    """
-    path = stationary_chain_path(R, steps, seed)
-    u = path.astype(float)
-    cond_mean = eta + (1.0 - eta) / (u + 1.0)
-    cond_var = (1.0 - eta) ** 2 * u / ((u + 1.0) ** 2 * (u + 2.0))
-    batches = steps // batch_len
-    sums = cond_mean[: batches * batch_len].reshape(batches, batch_len).sum(axis=1)
-    serial = float(np.var(sums, ddof=1)) / batch_len
-    return serial + float(cond_var.mean())

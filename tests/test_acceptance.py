@@ -17,12 +17,13 @@ from tricklelab import gf
 from tricklelab.core import TrickleParams
 from tricklelab.simulate import (
     LineTopology,
-    estimate_time_variance_rate,
     ks_distance,
     monte_carlo,
     run_protocol_event,
     validate_wavefront,
 )
+
+from oracles import cov_update_sizes_matrix, delta_truncated_sum, estimate_time_variance_rate
 
 
 def report(num: int, name: str, ok: bool, detail: str, elapsed: float) -> None:
@@ -64,7 +65,7 @@ def test_criterion_2_update_size_covariances():
         for R in range(1, 21):
             for j in range(11):
                 closed = an.cov_update_sizes(R, j)
-                matrix = an.cov_update_sizes_matrix(R, j)
+                matrix = cov_update_sizes_matrix(R, j)
                 if closed == 0.0:
                     assert abs(matrix) < 1e-12, (R, j)
                 else:
@@ -90,7 +91,7 @@ def test_criterion_3_time_variance_rate_cross_validation():
                 worst_mc = max(worst_mc, rel)
                 details.append(f"R={R},eta={eta}:{100 * rel:.2f}%")
                 worst_delta = max(worst_delta, abs(
-                    an.delta_covariance(R, eta) - an.delta_truncated_sum(R, eta)))
+                    an.delta_covariance(R, eta) - delta_truncated_sum(R, eta)))
     ok = worst_mc < 0.02 and worst_delta < 1e-8 and t.elapsed < 30.0
     report(3, "gamma_theta^2 vs 1e6-step Monte Carlo and Delta vs lag sum", ok,
            f"worst MC gap {100 * worst_mc:.2f}% (tol 2%), worst Delta gap "
@@ -120,11 +121,11 @@ def test_criterion_5_transform_route_equals_dp_oracle():
     with Timer() as t:
         worst_pmf = 0.0
         for R in range(1, 7):
-            table = gf.hop_pmf_table(R, 40)
             for n in range(1, 41):
+                pmf = gf.hop_master_series(R, n, n).coeffs[n, :]
                 dp = gf.hop_pmf_dp(R, n)
-                width = max(len(dp), table.shape[0])
-                a = np.pad(table[:, n], (0, width - table.shape[0]))
+                width = max(len(dp), len(pmf))
+                a = np.pad(pmf, (0, width - len(pmf)))
                 b = np.pad(dp, (0, width - len(dp)))
                 worst_pmf = max(worst_pmf, float(np.max(np.abs(a - b))))
                 assert abs(b.sum() - 1.0) < 1e-12

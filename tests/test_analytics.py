@@ -3,6 +3,13 @@ import pytest
 
 from tricklelab import analytics as an
 
+from oracles import (
+    cov_theta1_uj_matrix,
+    cov_update_sizes_matrix,
+    delta_truncated_sum,
+    gamma_U_sq_matrix,
+)
+
 
 class TestMarkovModel:
     def test_single_state(self):
@@ -80,7 +87,7 @@ class TestCovariances:
     def test_matches_matrix_path(self, R):
         for j in range(11):
             closed = an.cov_update_sizes(R, j)
-            matrix = an.cov_update_sizes_matrix(R, j)
+            matrix = cov_update_sizes_matrix(R, j)
             if closed == 0.0:
                 assert abs(matrix) < 1e-12
             else:
@@ -88,7 +95,7 @@ class TestCovariances:
 
     def test_gamma_u_matches_lag_sum(self):
         for R in (1, 2, 5, 10):
-            assert an.gamma_U_sq(R) == pytest.approx(an.gamma_U_sq_matrix(R), abs=1e-10)
+            assert an.gamma_U_sq(R) == pytest.approx(gamma_U_sq_matrix(R), abs=1e-10)
 
 
 class TestVariances:
@@ -124,14 +131,14 @@ class TestVariances:
         for R in (1, 2, 5, 10):
             for eta in (0.0, 0.25, 0.5):
                 assert abs(an.delta_covariance(R, eta)
-                           - an.delta_truncated_sum(R, eta)) < 1e-8
+                           - delta_truncated_sum(R, eta)) < 1e-8
 
     def test_theta_lag_covariances_halve_and_alternate(self):
         for R in (2, 5):
-            c0 = an.cov_theta1_uj_matrix(R, 0.0, 0)
+            c0 = cov_theta1_uj_matrix(R, 0.0, 0)
             for j in range(1, 8):
                 expected = (-0.5) ** j * c0
-                assert an.cov_theta1_uj_matrix(R, 0.0, j) == pytest.approx(
+                assert cov_theta1_uj_matrix(R, 0.0, j) == pytest.approx(
                     expected, abs=1e-12)
 
     def test_sigma_t_nonnegative_over_grid(self):

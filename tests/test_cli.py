@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import pytest
 
+from tricklelab import gf
 from tricklelab.cli import main
 from tricklelab.core import TrickleParams
 from tricklelab.simulate import LineTopology, monte_carlo
@@ -62,6 +64,46 @@ class TestExactAndGF:
         assert a["mean"] == pytest.approx(b["mean"], rel=1e-9)
         assert a["variance"] == pytest.approx(b["variance"], rel=1e-9)
         assert list(a)[:5] == ["n", "R", "eta", "mean", "variance"]
+
+    NEAR_ZERO_VARIANCE = [("--R", "1", "--n", "14", "--eta", "1"),
+                          ("--R", "1", "--n", "4", "--eta", "0.999999")]
+
+    @pytest.mark.parametrize("argv", NEAR_ZERO_VARIANCE)
+    def test_gf_near_zero_variance_exits_0_without_warnings(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(capsys, "gf", *argv)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("argv", NEAR_ZERO_VARIANCE + [("--R", "3", "--n", "9", "--eta", "0.25")])
+    def test_gf_second_moment_off_by_1e8_exits_3(self, capsys, monkeypatch, argv):
+        exact = gf.delay_moments_gf
+        monkeypatch.setattr(gf, "delay_moments_gf", lambda *a: [
+            m * (1.0 + 1e-8) if r == 1 else m for r, m in enumerate(exact(*a))])
+        code, _, err = run_cli(capsys, "gf", *argv)
+        assert code == 3 and "variance" in err
+
+    @pytest.mark.parametrize("target, error, expected", [
+        ("pmf", 2e-9, 3), ("pmf", 5e-10, 0), ("mean", 2e-9, 3), ("mean", 5e-10, 0)])
+    def test_gf_pmf_and_mean_checks_keep_their_tolerance(self, capsys, monkeypatch,
+                                                          target, error, expected):
+        # pmf: absolute error in one entry; mean: relative error, with the
+        # second moment moved along so that the variance stays put
+        exact_pmf, exact_moments = gf.hop_pmf_gf, gf.delay_moments_gf
+        if target == "pmf":
+            def pmf(*a):
+                out = exact_pmf(*a).copy()
+                out[out.argmax()] += error
+                return out
+            monkeypatch.setattr(gf, "hop_pmf_gf", pmf)
+        else:
+            def moments(*a):
+                m1, m2 = exact_moments(*a)
+                shifted = m1 * (1.0 + error)
+                return [shifted, m2 + shifted**2 - m1**2]
+            monkeypatch.setattr(gf, "delay_moments_gf", moments)
+        code, _, _ = run_cli(capsys, "gf", "--R", "3", "--n", "9", "--eta", "0.25")
+        assert code == expected
 
     def test_gf_insufficient_truncation_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "gf", "--R", "2", "--n", "10",
@@ -183,6 +225,7 @@ class TestValidation:
         ("simulate", "--R", "2", "--n", "5", "--reps", "2", "--seed", "-1"),
         ("TRICKLE_LAB_SEED=abc", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("TRICKLE_LAB_SEED=-3", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
+        ("compare", "--R", "2", "--n", "5", "--reps", "1"),         # no sample variance
     ])
     def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
         # leading NAME=value items set environment variables

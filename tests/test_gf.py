@@ -29,7 +29,7 @@ def quad_mgf(j, eta, s):
 def series_mgf(j, eta, s, order=60):
     """E[exp(s * nu_j)] summed from the holding-time moment series of state j
     (nu_j <= 1, so 60 terms leave a remainder below 4^61 / 61! for |s| <= 4)."""
-    c = gf.holding_series(j, eta, 0, order).coeffs[0]
+    c = gf.holding_series(j, eta, order)
     return float(np.polynomial.polynomial.polyval(s, c))
 
 
@@ -78,7 +78,7 @@ class TestStepMGF:
         assert series_mgf(j, eta, s) == pytest.approx(closed, rel=1e-12)
 
     def test_series_coefficients_are_scaled_moments(self):
-        c = gf.holding_series(3, 0.25, 0, 4).coeffs[0]
+        c = gf.holding_series(3, 0.25, 4)
         for r in range(5):
             assert c[r] == pytest.approx(
                 gf.step_moment(3, 0.25, r) / math.factorial(r), rel=1e-12)
@@ -86,65 +86,81 @@ class TestStepMGF:
 
 
 class TestHopSystem:
+    """The visit transforms V[u]: z counts nodes covered, the second variable
+    hops (or elapsed time) before a visit to state u."""
+
     def test_single_state_solution(self):
-        [fp] = gf.solve_hop_system(1, 4, 4)
-        expected = TruncatedSeries.monomial((gf.NODE_VAR, gf.HOP_VAR), (4, 4), (1, 1))
-        assert np.allclose(fp.table[0].coeffs, expected.coeffs)
+        # R = 1 covers one node per hop: V = 1 / (1 - z y) in hop mode, and
+        # z^m times the m-th power of the uniform holding series in delay mode
+        [v] = gf.solve_hop_system(1, 4, 4)
+        assert np.array_equal(v.coeffs, np.eye(5))
+        [v] = gf.solve_delay_system(1, 0.0, 4, 3)
+        uniform = [1 / math.factorial(r + 1) for r in range(4)]  # (e^t - 1) / t
+        power = np.array([1.0, 0.0, 0.0, 0.0])
+        for m in range(5):
+            assert np.allclose(v.coeffs[m], power, rtol=1e-14, atol=0.0)
+            power = np.convolve(power, uniform)[:4]
 
     def test_forced_jump_to_top_state(self):
-        fps = gf.solve_hop_system(2, 5, 5)
-        to_top = fps[1]  # target state 2
-        assert to_top.table[0].coefficient((2, 1)) == 1.0
-        assert np.count_nonzero(to_top.table[0].coeffs) == 1
+        # from state 1 the next update size is R, so one hop reaches only z^2
+        visits = gf.solve_hop_system(2, 5, 5)
+        assert visits[1].coefficient((2, 1)) == 1.0
+        assert np.count_nonzero(visits[1].coeffs[:, 1]) == 1
+        assert not visits[0].coeffs[:, 1].any()
+
+    def test_two_state_rational_form(self):
+        # R = 2: V1 = 1 + z y V2 / 2 and V2 = z^2 y (V1 + V2 / 2), so with
+        # D = 1 - z^2 y / 2 - z^3 y^2 / 2, V1 = (1 - z^2 y / 2) / D, V2 = z^2 y / D
+        variables, degrees = (gf.NODE_VAR, gf.HOP_VAR), (12, 12)
+        mono = lambda powers, c=1.0: TruncatedSeries.monomial(variables, degrees, powers, c)
+        D = 1.0 - mono((2, 1), 0.5) - mono((3, 2), 0.5)
+        v1, v2 = gf.solve_hop_system(2, *degrees)
+        assert np.max(np.abs((v1 * D - (1.0 - mono((2, 1), 0.5))).coeffs)) < 1e-15
+        assert np.max(np.abs((v2 * D - mono((2, 1))).coeffs)) < 1e-15
 
     @pytest.mark.parametrize("R, mode", [
         pytest.param(R, mode, id=str(R) if mode == "hop" else f"{R}-{mode}")
         for mode in ("hop", "delay") for R in (2, 3, 5)
     ])
     def test_residual_of_defining_equations(self, R, mode):
-        # table[i] = step_i(P[i,t] z^t + sum_{k != t} P[i,k] z^k table[k]),
-        # step_i a shift by one hop, or the product with state i's
-        # holding-time moment series
+        # V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]), step_i a shift by
+        # one hop, or the product with state i's holding-time moment series
         P = transition_matrix(R)
         if mode == "hop":
             variables, degrees = (gf.NODE_VAR, gf.HOP_VAR), (10, 10)
-            fps = gf.solve_hop_system(R, *degrees)
+            visits = gf.solve_hop_system(R, *degrees)
             step = lambda i, s: s.shifted((0, 1))
         else:
             eta = 0.3
             variables, degrees = (gf.NODE_VAR, gf.TIME_VAR), (10, 4)
-            fps = gf.solve_delay_system(R, eta, *degrees)
+            visits = gf.solve_delay_system(R, eta, *degrees)
 
             def step(i, s):
                 mgf = TruncatedSeries.zeros(variables, degrees)
                 mgf.coeffs[0, :] = [gf.step_moment(i, eta, r) / math.factorial(r)
                                     for r in range(degrees[1] + 1)]
                 return mgf * s
-        for fp in fps:
-            j = fp.target
+        for k in range(1, R + 1):
+            rhs = TruncatedSeries.constant(float(k == 1), variables, degrees)
             for i in range(1, R + 1):
-                rhs = TruncatedSeries.monomial(variables, degrees, (j, 0), P[i - 1, j - 1])
-                for k in range(1, R + 1):
-                    if k == j or P[i - 1, k - 1] == 0.0:
-                        continue
-                    rhs = rhs + P[i - 1, k - 1] * fp.table[k - 1].shifted((k, 0))
-                residual = np.max(np.abs(fp.table[i - 1].coeffs - step(i, rhs).coeffs))
-                assert residual < 1e-12
+                if P[i - 1, k - 1] != 0.0:
+                    rhs = rhs + P[i - 1, k - 1] * step(i, visits[i - 1]).shifted((k, 0))
+            residual = np.max(np.abs(visits[k - 1].coeffs - rhs.coeffs))
+            assert residual < 1e-12
 
-    def test_first_passage_needs_at_least_one_step(self):
-        for fp in gf.solve_hop_system(3, 6, 6):
-            for entry in fp.table:
-                assert not entry.coeffs[:, 0].any()  # zero step-degree-0 layer
+    def test_only_the_start_takes_no_step(self):
+        for u, v in enumerate(gf.solve_hop_system(3, 6, 6), start=1):
+            assert v.coeffs[:, 0].tolist() == [float(u == 1)] + [0.0] * 6
 
-    def test_step_marginal_is_a_pmf(self):
-        # setting the node variable to 1 leaves the step-count pgf; the
-        # first-return tail decays like (5/6)^steps for R = 3, and paths of
-        # s steps update at most 3 s nodes, so node degree 360 loses nothing
-        fps = gf.solve_hop_system(3, 360, 120)
-        return_to_1 = fps[0].table[0].eliminate(gf.NODE_VAR)
-        total = return_to_1.coeffs.sum()
-        assert total == pytest.approx(1.0, abs=1e-8)
-        assert np.all(return_to_1.coeffs >= -1e-15)
+    def test_coverage_hit_probability_tends_to_renewal_density(self):
+        # summing V over states and hops gives P[coverage ever equals a],
+        # which tends to 1 / E[U] = 3 / (2R + 1) under the stationary law;
+        # a path reaching a nodes takes at most a hops, so hop degree a
+        # loses nothing
+        a = 150
+        for R in (2, 3, 5):
+            hit = sum(v.coeffs[a].sum() for v in gf.solve_hop_system(R, a, a))
+            assert abs(hit - 3 / (2 * R + 1)) < 1e-10
 
 
 class TestHopLaw:
@@ -165,18 +181,18 @@ class TestHopLaw:
 
     def test_matches_dp_oracle(self):
         for R in (2, 3, 4):
-            table = gf.hop_pmf_table(R, 25)
             for n in range(1, 26):
+                pmf = gf.hop_master_series(R, n, n).coeffs[n, :]
                 dp = gf.hop_pmf_dp(R, n)
-                width = max(len(dp), table.shape[0])
-                a = np.pad(table[:, n], (0, width - table.shape[0]))
+                width = max(len(dp), len(pmf))
+                a = np.pad(pmf, (0, width - len(pmf)))
                 b = np.pad(dp, (0, width - len(dp)))
                 assert np.max(np.abs(a - b)) < 1e-9
 
     def test_setting_hop_variable_to_one_gives_normalization(self):
         master = gf.hop_master_series(3, 20, 20)
-        norm = master.eliminate(gf.HOP_VAR)
-        assert np.allclose(norm.coeffs, np.ones(21), atol=1e-9)
+        norm = master.coeffs.sum(axis=1)  # hops axis
+        assert np.allclose(norm, np.ones(21), atol=1e-9)
 
     def test_insufficient_explicit_truncation_raises(self):
         with pytest.raises(gf.TruncationInsufficientError):

@@ -67,21 +67,6 @@ def test_shift_is_monomial_multiplication():
     assert np.allclose(a.shifted((2, 1)).coeffs, (a * m).coeffs, atol=1e-14)
 
 
-def test_transpose_swaps_roles():
-    a = TruncatedSeries.monomial(V2, (3, 2), (3, 1))
-    t = a.transposed()
-    assert t.variables == ("y", "x")
-    assert t.coefficient((1, 3)) == 1.0
-
-
-def test_eliminate_sums_axis():
-    a = TruncatedSeries.monomial(V2, (2, 2), (1, 0)) + \
-        TruncatedSeries.monomial(V2, (2, 2), (1, 2), 3.0)
-    collapsed = a.eliminate("y")
-    assert collapsed.variables == ("x",)
-    assert collapsed.coeffs.tolist() == [0.0, 4.0, 0.0]
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_ring_associativity_and_distributivity(seed):
     rng = np.random.default_rng(seed)

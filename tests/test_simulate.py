@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from tricklelab.simulate import (
     LineTopology,
     NonTerminationError,
     PropagationTrace,
-    estimate_time_variance_rate,
     ks_distance,
     monte_carlo,
     replication_stream,
@@ -20,6 +20,8 @@ from tricklelab.simulate import (
     sample_renewal_event,
     validate_wavefront,
 )
+
+from oracles import estimate_time_variance_rate
 
 
 class TestTopology:
@@ -96,6 +98,27 @@ class TestProtocolEvent:
                           "end_to_end_delay", "message_count"}
         import json
         assert json.loads(tr.to_json()) == d
+
+    def test_traces_match_golden_digest(self):
+        # SHA-256 over the JSON of 162 traces (or the NonTerminationError
+        # message): a change to the protocol rules, the RNG call order or the
+        # tie-breaking changes it, and a faithful rewrite of the event loop
+        # must keep it
+        digest = hashlib.sha256()
+        for R, n in ((2, 40), (30, 120)):
+            for k in (1, 2, 3):
+                for tau_h in (math.inf, 4.0, 16.0):
+                    for eta in (0.0, 0.5, 1.0):
+                        for seed in range(3):
+                            try:
+                                line = run_protocol_event(
+                                    TrickleParams(k=k, tau_h=tau_h, eta=eta),
+                                    LineTopology(n=n, R=R), seed=seed).to_json()
+                            except NonTerminationError as exc:
+                                line = f"NonTerminationError: {exc}"
+                            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "895c3f0e24f0747e59504a8a68b47b1713386801cd5e2f53e01b16c001b7ce72")
 
 
 def _renewal(R, n, eta, reps, seed):

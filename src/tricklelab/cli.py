@@ -280,7 +280,7 @@ def _cmd_compare(args) -> dict:
     try:
         ks_t = ks_distance(t, (mean_t, std_t))
     except DegenerateInputError:
-        ks_t = math.nan
+        ks_t = math.nan  # zero analytic spread (R = 1, eta = 1); null in JSON
     rows = [
         ["mean_H", float(h.mean()), mean_h],
         ["var_H", float(h.var(ddof=1)), std_h**2],
@@ -291,7 +291,8 @@ def _cmd_compare(args) -> dict:
     payload = {
         "R": args.R, "n": args.n, "eta": args.eta, "k": args.k,
         "reps": args.reps, "seed": args.seed, "engine": args.engine,
-        "table": [{"metric": m, "empirical": e, "analytic": a} for m, e, a in rows],
+        "table": [{"metric": m, "empirical": None if math.isnan(e) else e, "analytic": a}
+                  for m, e, a in rows],
     }
     return {"columns": ["metric", "empirical", "analytic"], "rows": rows,
             "json": payload}

@@ -76,7 +76,7 @@ def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:
 def _delay_step(R: int, eta: float, order: int):
     """One transition out of state i + 1 in delay mode: the product with that
     state's holding-time moment series.  The series has only time terms, so
-    the product is a sum of time shifts, free of FFT round-off."""
+    the product is a sum of time shifts, one per moment."""
     hold = [holding_series(j, eta, order) for j in range(1, R + 1)]
     return lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
 

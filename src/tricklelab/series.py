@@ -8,7 +8,6 @@ retained coefficient is exact (truncation never corrupts low-order terms).
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import convolve
 
 
 class TruncatedSeries:
@@ -93,10 +92,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            self._check_compatible(other)
-            full = convolve(self.coeffs, other.coeffs)
-            cut = tuple(slice(0, n) for n in self.coeffs.shape)
-            return TruncatedSeries(self.variables, full[cut])
+            self._check_compatible(other)  # one shift of self per nonzero term of other
+            return sum((other.coeffs[p] * self.shifted(p) for p in zip(*np.nonzero(other.coeffs))),
+                       TruncatedSeries.zeros(self.variables, self.degrees))
         return TruncatedSeries(self.variables, self.coeffs * other)
 
     __rmul__ = __mul__

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
-from scipy.stats import norm
 
 from .core import (
     NodeState,
@@ -353,6 +352,6 @@ def ks_distance(samples, standardization: tuple[float, float]) -> float:
     x = np.sort((np.asarray(samples, dtype=float) - mean) / std)
     if len(x) == 0:
         raise DegenerateInputError("no samples")
-    cdf = norm.cdf(x)
+    cdf = 0.5 * np.frompyfunc(math.erfc, 1, 1)(-x / math.sqrt(2.0)).astype(float)  # N(0, 1) CDF
     grid = np.arange(len(x) + 1) / len(x)
     return float(max(np.max(cdf - grid[:-1]), np.max(grid[1:] - cdf)))

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -186,6 +190,25 @@ class TestCompare:
         metrics = [l.split(",")[0] for l in lines[1:]]
         assert metrics == ["mean_H", "var_H", "mean_T", "var_T", "ks_T"]
 
+    @pytest.mark.parametrize("engine", ["renewal", "protocol"])
+    def test_zero_spread_ks_is_null_in_strict_json(self, capsys, engine):
+        # R = 1, eta = 1: every hop takes exactly one time unit, so the analytic
+        # delay spread is 0 and there is no KS distance to report
+        argv = ("compare", "--R", "1", "--n", "5", "--reps", "10", "--eta", "1",
+                "--engine", engine)
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        table = {row["metric"]: row for row in json.loads(out, parse_constant=reject)["table"]}
+        assert table["ks_T"]["empirical"] is None
+        assert table["var_T"]["analytic"] == 0.0
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.strip().split("\n")[-1] == "ks_T,nan,0.0"
+
 
 class TestSweepEta:
     def test_grid_plus_argmin_row(self, capsys):
@@ -241,3 +264,30 @@ class TestValidation:
         code, _, _ = run_cli(capsys, "simulate", "--R", "2", "--n", "5",
                              "--reps", "2", "--seed", "0", "--tau-h", "inf")
         assert code == 0
+
+
+def test_commands_run_without_scipy():
+    # scipy is a test-only oracle: one query of each command, in a fresh
+    # interpreter, must not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = """
+import os
+import sys
+from tricklelab.cli import main
+for argv in (
+    ["analyze", "--R", "3"],
+    ["exact", "--R", "3", "--n", "10"],
+    ["gf", "--R", "3", "--n", "8"],
+    ["simulate", "--R", "3", "--n", "10", "--reps", "20", "--seed", "1"],
+    ["simulate", "--R", "3", "--n", "10", "--reps", "3", "--seed", "1", "--engine", "protocol"],
+    ["compare", "--R", "3", "--n", "10", "--reps", "20", "--seed", "1"],
+    ["sweep-eta", "--R", "3", "--steps", "5"],
+):
+    assert main(argv + ["--out", os.devnull]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

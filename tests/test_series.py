@@ -50,6 +50,39 @@ def test_univariate_multiplication_matches_polynomial_product():
     assert np.allclose((a * b).coeffs, full, atol=1e-15)
 
 
+def test_bivariate_product_matches_double_loop_definition():
+    rng = np.random.default_rng(2)
+    a, b = random_series(rng), random_series(rng)
+    b.coeffs[rng.uniform(size=b.coeffs.shape) < 0.3] = 0.0  # sparse operand
+    shape = a.coeffs.shape
+    expected = np.zeros(shape)
+    # the truncated product: every pair of terms whose degrees fit; summing
+    # over b's terms in row-major order reproduces the product bit for bit
+    for i, j in np.ndindex(shape):
+        if b.coeffs[i, j]:
+            for k, l in np.ndindex(shape[0] - i, shape[1] - j):
+                expected[i + k, j + l] += b.coeffs[i, j] * a.coeffs[k, l]
+    assert np.array_equal((a * b).coeffs, expected)
+
+
+def test_product_of_zero_constant_terms_keeps_exact_zero():
+    rng = np.random.default_rng(3)
+    a = random_series(rng, zero_constant=True)
+    b = random_series(rng, zero_constant=True)
+    assert (a * b).constant_term == 0.0
+    assert (a * b * a).constant_term == 0.0
+
+
+def test_product_with_all_zero_operand_is_zero_series():
+    rng = np.random.default_rng(4)
+    a = random_series(rng)
+    zero = TruncatedSeries.zeros(V2, a.degrees)
+    for product in (a * zero, zero * a):
+        assert isinstance(product, TruncatedSeries)
+        assert product.variables == V2 and product.degrees == a.degrees
+        assert not product.coeffs.any()
+
+
 def test_incompatible_series_rejected():
     a = TruncatedSeries.zeros(("x", "y"), (2, 2))
     b = TruncatedSeries.zeros(("x", "z"), (2, 2))

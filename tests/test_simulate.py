@@ -313,8 +313,15 @@ class TestKSDistance:
         with pytest.raises(DegenerateInputError):
             ks_distance(np.ones(10), (0.0, 0.0))
 
-    def test_matches_scipy(self):
-        x = norm.rvs(size=500, random_state=np.random.default_rng(8)) * 2 + 1
+    @pytest.mark.parametrize("center, spread, size", [
+        (0.0, 1.0, 500),
+        (0.0, 8.0, 10_000),  # tails: |z| up to 8, where the CDF is within 1e-15 of 0 or 1
+        (-4.0, 4.0, 10_000),
+        (4.0, 4.0, 10_000),
+    ], ids=["body", "wide", "left-tail", "right-tail"])
+    def test_matches_scipy(self, center, spread, size):
+        z = norm.rvs(center, spread, size=size, random_state=np.random.default_rng(8))
+        x = np.clip(z, -8.0, 8.0) * 2 + 1
         ours = ks_distance(x, (1.0, 2.0))
         ref = kstest((x - 1) / 2, "norm").statistic
         assert ours == pytest.approx(ref, abs=1e-12)

@@ -126,6 +126,15 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--steps must be >= 2, got {args.steps}")
     if getattr(args, "m_max", None) is not None and args.m_max < 1:
         parser.error(f"--m-max must be >= 1, got {args.m_max}")
+    if args.command in ("exact", "gf"):
+        costs = [gf.dp_cost(args.R, args.n)]
+        if args.command == "gf":
+            costs.append(gf.transform_cost(args.R, args.n, args.m_max or args.n))
+        work, cells = map(sum, zip(*costs))
+        if work > gf.MAX_WORK or cells > gf.MAX_CELLS:
+            parser.error(f"this {args.command} query needs up to {work:.1e} array element "
+                         f"updates and {cells:.1e} floats of working arrays, over the "
+                         f"limits of {gf.MAX_WORK:.0e} and {gf.MAX_CELLS:.0e}")
     tau_h = getattr(args, "tau_h", math.inf)
     if not tau_h >= 1.0:  # tau_l is 1; also rejects NaN
         parser.error(f"--tau-h must be >= 1 (tau_l), got {tau_h}")

@@ -8,10 +8,16 @@ Two independent routes to the same laws:
   over a truncated series ring and assembled into a master series whose
   coefficients are P[hops = m at size n] (or the delay moment generating
   function at size n);
-* a dynamic-programming route: one forward pass over (nodes covered, last
-  update size) that carries the probability and the first two moments of
+* a dynamic-programming route: one forward pass over (last update size,
+  nodes covered) that carries the probability and the first two moments of
   elapsed time together, yielding the hop pmf and the delay mean and
-  variance at once; used as the accuracy oracle.
+  variance at once; used as the accuracy oracle.  The mass reaching each
+  next size is a suffix sum over the current sizes and only the live band
+  of coverage rows is kept, so a step costs O(R * band), band <= n, and a
+  query O(n^2) in all; the transform route grows like R^2 n^3.
+
+The command line refuses, before starting it, a query whose work or memory
+bound (dp_cost, transform_cost) exceeds MAX_WORK or MAX_CELLS.
 
 Sizes n <= R take a single broadcast, so the hop law there is a point mass
 and the delay is one timer draw, uniform on [eta, 1].
@@ -34,6 +40,14 @@ TIME_VAR = "time"
 
 PMF_TAIL_TOL = 1e-12
 
+# The largest exact-law query the command line runs, as bounded by dp_cost and
+# transform_cost: MAX_WORK array element updates (a few seconds on one CPU
+# core, at up to about 5 ns each) and MAX_CELLS floats of working arrays
+# (80 MB).
+# A query over either limit is refused before it starts.
+MAX_WORK = 10**9
+MAX_CELLS = 10**7
+
 
 class TruncationInsufficientError(RuntimeError):
     """Requested coefficients are not all captured by the truncation order."""
@@ -48,7 +62,8 @@ def step_moment(j: int, eta: float, r: int) -> float:
         raise ValueError("state index must be >= 1")
     total = 0.0
     for q in range(r + 1):
-        beta_q = math.factorial(q) * math.factorial(j) / math.factorial(q + j)
+        # E[Beta(1, j)^q] = q! j! / (q + j)!, without forming j! for large j
+        beta_q = math.factorial(q) / math.prod(range(j + 1, j + q + 1))
         total += math.comb(r, q) * eta ** (r - q) * (1.0 - eta) ** q * beta_q
     return total
 
@@ -187,50 +202,71 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     """Exact hop-count pmf and delay (mean, variance) at size n by one forward
     dynamic-programming pass (the oracle for the transform route).
 
-    State: (nodes covered so far a < n, last update size u); from u the next
-    update size is uniform on {R - u + 1, ..., R} after a holding time nu_u;
-    absorb once coverage reaches n.  Each state carries its probability and
-    the unnormalized first and second moments of the elapsed time.  Entry m
-    of the pmf is the mass absorbed at step m, i.e. P[hop count = m].
+    State: (last update size u, nodes covered a < n); from u the next size is
+    uniform on {R - u + 1, ..., R} after a holding time nu_u; absorb once
+    coverage reaches n.  A state carries its probability and unnormalized
+    first two moments of the time elapsed less kappa (the stationary mean
+    holding time) per hop, so the variance needs no E[T^2] - E[T]^2.  Mass
+    moves to size u' as a suffix sum over u >= R - u' + 1; only sizes u <= n
+    and the live band of coverage rows are kept: a step costs O(min(R, n) *
+    band), band <= n.  Entry m of the pmf is P[hop count = m].
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    e1 = [0.0] + [step_moment(u, eta, 1) for u in range(1, R + 1)]
-    e2 = [0.0] + [step_moment(u, eta, 2) for u in range(1, R + 1)]
-    prob = np.zeros((n, R + 1))
-    m1 = np.zeros((n, R + 1))
-    m2 = np.zeros((n, R + 1))
-    prob[0, 1] = 1.0  # one seed node, nothing covered yet
-    pmf = [0.0]
-    tot_p = tot_m1 = tot_m2 = 0.0
-    while prob.any():
-        n_prob = np.zeros_like(prob)
-        n_m1 = np.zeros_like(m1)
-        n_m2 = np.zeros_like(m2)
-        absorbed = 0.0
-        for u in range(1, R + 1):
-            p = prob[:, u]
-            if not p.any():
-                continue
-            s1 = m1[:, u] + p * e1[u]
-            s2 = m2[:, u] + 2.0 * e1[u] * m1[:, u] + p * e2[u]
-            w = 1.0 / u
-            for up in range(R - u + 1, R + 1):
-                # coverage a -> a + up; rows with a + up >= n absorb
-                cut = max(n - up, 0)
-                if up < n:
-                    n_prob[up:, up] += w * p[:cut]
-                    n_m1[up:, up] += w * s1[:cut]
-                    n_m2[up:, up] += w * s2[:cut]
-                mass = w * p[cut:].sum()
-                absorbed += mass
-                tot_p += mass
-                tot_m1 += w * s1[cut:].sum()
-                tot_m2 += w * s2[cut:].sum()
-        pmf.append(absorbed)
-        prob, m1, m2 = n_prob, n_m1, n_m2
-    mean = tot_m1 / tot_p
-    return np.array(pmf), mean, tot_m2 / tot_p - mean * mean
+    u = np.arange(1, min(R, n) + 1)  # a live size is at most the coverage
+    e1, e2 = (np.array([step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
+    kappa = e1 @ u / u.sum()  # stationary weights are proportional to u
+    # step[u - 1] takes (probability, first, second moment) through one
+    # holding time nu_u - kappa (moments a, b) and splits it over u next sizes
+    step = np.array([[[1.0, 0.0, 0.0], [a, 1.0, 0.0], [b, 2.0 * a, 1.0]] for a, b in
+                     zip(e1 - kappa, e2 - 2.0 * kappa * e1 + kappa * kappa)]) / u[:, None, None]
+    mass = np.array([[[1.0], [0.0], [0.0]]])  # mass[u - 1, :, a - lo]; the seed: u = 1, a = 0
+    lo, absorbed = 0, []
+    while True:
+        rows, _, width = mass.shape
+        held = step[:rows] @ mass
+        lo += 1
+        keep = min(R, n - lo)  # next sizes that can stay live
+        # moved[u' - 1, :, a + u' - lo]: held summed over u >= R - u' + 1
+        moved = np.zeros((keep, 3, width + keep - 1))
+        acc = 0.0
+        for k in range(R - rows, keep):
+            acc = np.add(acc, held[R - 1 - k], out=moved[k, :, k:k + width])
+        absorbed.append(moved[:, :, n - lo:].sum(axis=(0, 2)))
+        if keep < R:  # sizes above keep absorb whole; row i of held reaches this many
+            whole = np.minimum(np.arange(1, rows + 1), R - max(keep, R - rows))
+            absorbed[-1] += whole @ held.sum(axis=2)
+        live = np.flatnonzero(moved[:, 0, :n - lo].any(axis=0))
+        if not live.size:
+            break
+        mass = moved[:, :, live[0]:live[-1] + 1]
+        lo += live[0]
+    pmf, x1, x2 = np.array([np.zeros(3)] + absorbed).T.copy()
+    shift = kappa * np.arange(len(pmf))  # T = X + kappa * m on {hop count = m}
+    mean = (x1 + shift * pmf).sum() / pmf.sum()
+    d = shift - mean
+    return pmf, mean, (x2 + 2.0 * d * x1 + d * d * pmf).sum() / pmf.sum()
+
+
+def dp_cost(R: int, n: int) -> tuple[int, int]:
+    """Upper bounds on the (cell updates, floats of working arrays) of
+    exact_law_dp(R, eta, n).  A step holds at most min(R, n) sizes of 3
+    moments over the band and its shifted copy, each at most n rows wide; as
+    two consecutive update sizes cover at least R + 1 nodes, there are at most
+    2n / (R + 1) + 2 steps."""
+    sizes = min(R, n)
+    return sizes * n * (2 * n // (R + 1) + 2), 6 * sizes * n
+
+
+def transform_cost(R: int, n: int, m_max: int) -> tuple[int, int]:
+    """Upper bounds on the (element updates, floats of the R visit
+    transforms) of the transform route at (R, n, m_max).  Each of its sweeps
+    is a sum of about R^2 / 2 scaled series, two passes per term: the hop
+    system makes min(n, m_max) + 1 sweeps over (n + 1) x (m_max + 1) series,
+    and every term of its n + 1 delay sweeps costs about as much Python as
+    1000 element updates."""
+    cells = R * (n + 1) * (m_max + 1)
+    return R * (cells * (min(n, m_max) + 1) + 1000 * R * (n + 1)), cells
 
 
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Independent oracles that the test suite checks the library against.
 
 They take the long way round on purpose: chain-power sums instead of the
-closed forms in tricklelab.analytics, and a simulated stationary chain
-instead of the exact variance rate.
+closed forms in tricklelab.analytics, a simulated stationary chain instead
+of the exact variance rate, and a rational sum over every path instead of
+the exact-law dynamic program.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,3 +90,34 @@ def estimate_time_variance_rate(
     sums = cond_mean[: batches * batch_len].reshape(batches, batch_len).sum(axis=1)
     serial = float(np.var(sums, ddof=1)) / batch_len
     return serial + float(cond_var.mean())
+
+
+def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Fraction, Fraction]:
+    """Exact hop pmf and delay (mean, variance) at size n in rational
+    arithmetic, summed over every sequence of update sizes.
+
+    Given its sequence of update sizes a path's holding times are independent,
+    nu_u = eta + (1 - eta) * Beta(1, u) with mean eta + (1 - eta) / (u + 1)
+    and variance (1 - eta)^2 u / ((u + 1)^2 (u + 2)), so each path adds its
+    probability times its conditional delay moments.
+    """
+    eta = Fraction(eta)
+    pmf: list[Fraction] = []
+    moments = [Fraction(0), Fraction(0)]  # E[T], E[T^2]
+
+    def walk(u, covered, hops, prob, mean, var):
+        # one broadcast by the u nodes updated last; it updates `up` more
+        prob /= u
+        mean += eta + (1 - eta) / (u + 1)
+        var += (1 - eta) ** 2 * Fraction(u, (u + 1) ** 2 * (u + 2))
+        for up in range(R - u + 1, R + 1):
+            if covered + up < n:
+                walk(up, covered + up, hops + 1, prob, mean, var)
+                continue
+            pmf.extend([Fraction(0)] * (hops + 2 - len(pmf)))
+            pmf[hops + 1] += prob
+            moments[0] += prob * mean
+            moments[1] += prob * (var + mean * mean)
+
+    walk(1, 0, 0, Fraction(1), Fraction(0), Fraction(0))
+    return pmf, moments[0], moments[1] - moments[0] ** 2

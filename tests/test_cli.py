@@ -249,6 +249,11 @@ class TestValidation:
         ("TRICKLE_LAB_SEED=abc", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("TRICKLE_LAB_SEED=-3", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("compare", "--R", "2", "--n", "5", "--reps", "1"),         # no sample variance
+        ("gf", "--R", "5", "--n", "500"),                          # over gf.MAX_WORK
+        ("exact", "--R", "30", "--n", "100000"),
+        ("gf", "--R", "3", "--n", "5", "--m-max", "100000000"),
+        ("gf", "--R", "1", "--n", "3", "--m-max", "50000000"),   # over gf.MAX_CELLS
+        ("exact", "--R", "10000", "--n", "20000"),
     ])
     def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
         # leading NAME=value items set environment variables
@@ -259,6 +264,24 @@ class TestValidation:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_oversized_exact_work_is_refused_before_it_starts(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an oversized query reached the solver")
+        for name in ("exact_law_dp", "hop_pmf_gf", "delay_moments_gf"):
+            monkeypatch.setattr(gf, name, unreachable)
+        for argv in (["exact", "--R", "30", "--n", "100000"], ["gf", "--R", "5", "--n", "500"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "over the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("R, n", [(2, 1500), (10, 1000), (30, 1500), (30, 20000)])
+    def test_work_limits_admit_the_exact_queries_in_use(self, R, n):
+        # the exact sizes of the benchmark workload, the CI smoke runs and
+        # the README; the gf sizes are far smaller
+        work, cells = gf.dp_cost(R, n)
+        assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
 
     def test_tau_h_inf_literal_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--R", "2", "--n", "5",

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy.special import gammaincc
 from tricklelab import gf
 from tricklelab.analytics import transition_matrix
 from tricklelab.series import TruncatedSeries
+
+from oracles import exact_law_paths
 
 
 def holding_density(x, j, eta):
@@ -201,6 +204,29 @@ class TestHopLaw:
     def test_dp_pmf_sums_to_one(self):
         for R, n in [(1, 7), (2, 13), (5, 40)]:
             assert gf.hop_pmf_dp(R, n).sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExactLawDP:
+    """exact_law_dp against the rational sum over every path (tests/oracles.py),
+    including the band edges n <= R, n = R + 1 and R = 1."""
+
+    @pytest.mark.parametrize("eta", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
+                             ids=str)
+    @pytest.mark.parametrize("n", range(1, 15))
+    @pytest.mark.parametrize("R", range(1, 6))
+    def test_matches_rational_path_sum(self, R, n, eta):
+        pmf, mean, var = exact_law_paths(R, eta, n)
+        dp_pmf, dp_mean, dp_var = gf.exact_law_dp(R, float(eta), n)
+        assert len(dp_pmf) == len(pmf)
+        assert np.max(np.abs(dp_pmf - np.array(pmf, dtype=float))) <= 1e-15
+        assert dp_mean == pytest.approx(float(mean), rel=1e-14)
+        assert dp_var == pytest.approx(float(var), rel=1e-13, abs=1e-15)
+
+    def test_steps_within_work_bound(self):
+        # gf.dp_cost assumes at most 2n / (R + 1) + 2 steps
+        for R in range(1, 9):
+            for n in range(1, 80):
+                assert len(gf.exact_law_dp(R, 0.5, n)[0]) - 1 <= 2 * n // (R + 1) + 2
 
 
 class TestDelayLaw:

@@ -14,13 +14,10 @@ from .core import (
 )
 from .analytics import (
     AsymptoticStats,
-    MarkovModel,
     asymptotic_stats,
-    build_markov,
     cov_update_sizes,
     delay_rate,
     delta_covariance,
-    gamma_theta_sq,
     gamma_U_sq,
     hop_rate,
     mean_inter_transmission,
@@ -52,7 +49,6 @@ from .simulate import (
     monte_carlo,
     run_protocol_event,
     sample_renewal_event,
-    validate_wavefront,
 )
 
 __version__ = "0.1.0"

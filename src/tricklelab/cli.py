@@ -126,10 +126,17 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--steps must be >= 2, got {args.steps}")
     if getattr(args, "m_max", None) is not None and args.m_max < 1:
         parser.error(f"--m-max must be >= 1, got {args.m_max}")
+    costs = []
     if args.command in ("exact", "gf"):
-        costs = [gf.dp_cost(args.R, args.n)]
-        if args.command == "gf":
-            costs.append(gf.transform_cost(args.R, args.n, args.m_max or args.n))
+        costs.append(gf.dp_cost(args.R, args.n))
+    if args.command == "gf":
+        costs.append(gf.transform_cost(args.R, args.n, args.m_max or args.n))
+    if args.command in ("analyze", "compare", "sweep-eta"):
+        costs.append(analytics.solve_cost(args.R))
+    if args.command == "sweep-eta":
+        # a grid point's row list, JSON dict and text take about 1.3 kB
+        costs.append((0, 160 * args.steps))
+    if costs:
         work, cells = map(sum, zip(*costs))
         if work > gf.MAX_WORK or cells > gf.MAX_CELLS:
             parser.error(f"this {args.command} query needs up to {work:.1e} array element "
@@ -308,20 +315,18 @@ def _cmd_compare(args) -> dict:
 
 
 def _cmd_sweep_eta(args) -> dict:
+    chain = analytics.solve_chain(args.R)  # one solve for the grid and the argmin
     grid = np.linspace(0.0, 1.0, args.steps)
-    rows = [
-        [float(e), analytics.delay_rate(args.R, float(e)),
-         analytics.sigma_T_sq(args.R, float(e)), "grid"]
-        for e in grid
-    ]
-    eta_star, var_star = analytics.minimize_delay_variance(args.R)
+    columns = (grid, analytics.delay_rate(args.R, grid), chain.sigma_T_sq(grid))
+    rows = [row + ["grid"] for row in np.column_stack(columns).tolist()]
+    eta_star, var_star = chain.argmin()
     rows.append([eta_star, analytics.delay_rate(args.R, eta_star), var_star, "argmin"])
+    point = lambda r: {"eta": r[0], "delay_rate": r[1], "sigma_T_sq": r[2]}
     payload = {
         "R": args.R,
         "steps": args.steps,
-        "grid": [{"eta": r[0], "delay_rate": r[1], "sigma_T_sq": r[2]} for r in rows[:-1]],
-        "argmin": {"eta": eta_star, "delay_rate": analytics.delay_rate(args.R, eta_star),
-                   "sigma_T_sq": var_star},
+        "grid": [point(r) for r in rows[:-1]],
+        "argmin": point(rows[-1]),
     }
     return {"columns": ["eta", "delay_rate", "sigma_T_sq", "kind"], "rows": rows,
             "json": payload}
@@ -344,8 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         dataset = _COMMANDS[args.command](args)
     except (NonTerminationError, gf.TruncationInsufficientError,
-            EngineMismatchError, DegenerateInputError,
-            analytics.SingularMatrixError) as exc:
+            EngineMismatchError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE_ERROR
     emit(dataset, args.output_format, args.out)

@@ -225,29 +225,6 @@ def run_protocol_event(
     )
 
 
-def validate_wavefront(trace: PropagationTrace) -> bool:
-    """Check that every effective broadcast came from the newest updated block.
-
-    The nodes updated by hop m form a contiguous block right of the frontier;
-    hop m + 1's sender must belong to it (hop 1 must come from node 0).
-
-    The property holds only for k = 1 with unbounded tau_h.  Otherwise a node
-    behind the newest block may broadcast and update nodes: it fails for
-    k = 2 on LineTopology(250, 5) with seeds 0 to 4, and for tau_h = 4,
-    eta = 0.5 on LineTopology(100, 5) with seed 98.
-    """
-    block_lo, block_hi = 0, 0
-    frontier = 0
-    for (_, sender, updated) in trace.broadcasts:
-        if updated == 0:
-            continue
-        if not block_lo <= sender <= block_hi:
-            return False
-        block_lo, block_hi = frontier + 1, frontier + updated
-        frontier += updated
-    return True
-
-
 def sample_renewal_event(R: int, n: int, eta: float, seed: int = 0) -> tuple[int, float]:
     """Draw one (hop count, delay) pair straight from the update-size chain.
 

@@ -1,17 +1,97 @@
 """Independent oracles that the test suite checks the library against.
 
-They take the long way round on purpose: chain-power sums instead of the
-closed forms in tricklelab.analytics, a simulated stationary chain instead
-of the exact variance rate, and a rational sum over every path instead of
-the exact-law dynamic program.
+They take the long way round on purpose: a balance-equation solve instead
+of the closed-form stationary law, chain-power sums and per-eta matrix
+products instead of the closed forms and the eta-free quadratic in
+tricklelab.analytics, a simulated stationary chain instead of the exact
+variance rate, and a rational sum over every path instead of the exact-law
+dynamic program.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from tricklelab.analytics import build_markov
-from tricklelab.simulate import replication_stream
+from tricklelab import analytics as an
+from tricklelab.simulate import PropagationTrace, replication_stream
+
+
+@dataclass
+class MarkovModel:
+    """Update-size chain: transition matrix P and stationary vector pi."""
+
+    R: int
+    P: np.ndarray
+    pi: np.ndarray
+
+
+def build_markov(R: int) -> MarkovModel:
+    """P and pi from the balance equations pi P = pi, the last one replaced
+    by the normalization."""
+    if R < 1:
+        raise ValueError(f"R must be >= 1, got {R}")
+    P = an.transition_matrix(R)
+    A = P.T - np.eye(R)
+    A[-1, :] = 1.0
+    b = np.zeros(R)
+    b[-1] = 1.0
+    return MarkovModel(R=R, P=P, pi=np.linalg.solve(A, b))
+
+
+def var_theta1(R: int, eta: float) -> float:
+    """Stationary variance of a single inter-transmission time, in closed form."""
+    h = an.harmonic(R + 1)
+    centered = (2.0 + R) / (2.0 * R) - h / (R * (1.0 + R))
+    return 4.0 * (1.0 - eta) ** 2 * ((6.0 + R) / (8.0 + 4.0 * R) - centered**2)
+
+
+def sigma_T_sq_matrix(R: int, etas) -> np.ndarray:
+    """sigma_T_sq at each eta by the per-eta matrix path.
+
+    gamma_theta_sq = Var[theta_1] + 2 pi M Z M 1 - 2 mu_theta^2 with
+    M[i-1, j-1] = p_ij E[holding time in i] and Z = (I - P + 1 pi)^-1 from
+    the balance-equation pi, then the delay variance rate
+    (mu_theta^2 gamma_U_sq + mu_U^2 gamma_theta_sq - 2 mu_U mu_theta Delta) / mu_U^3.
+    """
+    model = build_markov(R)
+    Z = np.linalg.solve(np.eye(R) - model.P + np.outer(np.ones(R), model.pi), np.eye(R))
+    i = np.arange(1, R + 1, dtype=float)
+    mu_u = an.mean_update_size(R)
+    g_u = an.gamma_U_sq(R)
+    out = []
+    for eta in etas:
+        mean_hold = eta + (1.0 - eta) / (i + 1.0)
+        M = model.P * mean_hold[:, None]
+        mu_t = float(model.pi @ mean_hold)
+        g_t = (var_theta1(R, eta) + 2.0 * float(model.pi @ M @ Z @ M @ np.ones(R))
+               - 2.0 * mu_t**2)
+        delta = an.delta_covariance(R, eta)
+        out.append((mu_t**2 * g_u + mu_u**2 * g_t - 2.0 * mu_u * mu_t * delta) / mu_u**3)
+    return np.array(out)
+
+
+def validate_wavefront(trace: PropagationTrace) -> bool:
+    """Check that every effective broadcast came from the newest updated block.
+
+    The nodes updated by hop m form a contiguous block right of the frontier;
+    hop m + 1's sender must belong to it (hop 1 must come from node 0).
+
+    The property holds only for k = 1 with unbounded tau_h.  Otherwise a node
+    behind the newest block may broadcast and update nodes: it fails for
+    k = 2 on LineTopology(250, 5) with seeds 0 to 4, and for tau_h = 4,
+    eta = 0.5 on LineTopology(100, 5) with seed 98.
+    """
+    block_lo, block_hi = 0, 0
+    frontier = 0
+    for (_, sender, updated) in trace.broadcasts:
+        if updated == 0:
+            continue
+        if not block_lo <= sender <= block_hi:
+            return False
+        block_lo, block_hi = frontier + 1, frontier + updated
+        frontier += updated
+    return True
 
 
 def cov_update_sizes_matrix(R: int, j: int) -> float:

@@ -20,10 +20,15 @@ from tricklelab.simulate import (
     ks_distance,
     monte_carlo,
     run_protocol_event,
-    validate_wavefront,
 )
 
-from oracles import cov_update_sizes_matrix, delta_truncated_sum, estimate_time_variance_rate
+from oracles import (
+    build_markov,
+    cov_update_sizes_matrix,
+    delta_truncated_sum,
+    estimate_time_variance_rate,
+    validate_wavefront,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str, elapsed: float) -> None:
@@ -45,7 +50,7 @@ def test_criterion_1_stationary_law():
         worst_pi = 0.0
         worst_balance = 0.0
         for R in range(1, 51):
-            model = an.build_markov(R)
+            model = build_markov(R)
             worst_pi = max(worst_pi, float(np.max(np.abs(
                 model.pi - an.stationary_closed_form(R)))))
             flow = model.pi[:, None] * model.P
@@ -84,7 +89,7 @@ def test_criterion_3_time_variance_rate_cross_validation():
         details = []
         for R in (2, 5, 10):
             for eta in (0.0, 0.25, 0.5):
-                exact = an.gamma_theta_sq(R, eta)
+                exact = an.asymptotic_stats(R, eta).gamma_theta_sq
                 mc = estimate_time_variance_rate(R, eta, 10**6,
                                                  seed=1000 + R * 10 + int(eta * 4))
                 rel = abs(mc - exact) / exact

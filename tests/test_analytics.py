@@ -4,31 +4,38 @@ import pytest
 from tricklelab import analytics as an
 
 from oracles import (
+    build_markov,
     cov_theta1_uj_matrix,
     cov_update_sizes_matrix,
     delta_truncated_sum,
     gamma_U_sq_matrix,
+    sigma_T_sq_matrix,
+    var_theta1,
 )
+
+ETA_GRID = np.linspace(0.0, 1.0, 101)
 
 
 class TestMarkovModel:
+    # the balance-equation solve of tests/oracles.py against the closed form
+    # pi_j = 2j / (R (R + 1)) that the library uses
     def test_single_state(self):
-        m = an.build_markov(1)
+        m = build_markov(1)
         assert m.P.tolist() == [[1.0]]
         assert m.pi.tolist() == [1.0]
 
     def test_two_states(self):
-        m = an.build_markov(2)
+        m = build_markov(2)
         assert np.allclose(m.P, [[0.0, 1.0], [0.5, 0.5]])
         assert np.allclose(m.pi, [1 / 3, 2 / 3], atol=1e-14)
 
     def test_three_state_stationary(self):
-        m = an.build_markov(3)
+        m = build_markov(3)
         assert np.allclose(m.pi, [1 / 6, 1 / 3, 1 / 2], atol=1e-14)
 
     @pytest.mark.parametrize("R", range(1, 51))
     def test_stationary_matches_closed_form_and_detailed_balance(self, R):
-        m = an.build_markov(R)
+        m = build_markov(R)
         assert np.max(np.abs(m.pi - an.stationary_closed_form(R))) <= 1e-12
         lhs = m.pi[:, None] * m.P
         assert np.max(np.abs(lhs - lhs.T)) <= 1e-12
@@ -36,7 +43,7 @@ class TestMarkovModel:
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
-            an.build_markov(0)
+            build_markov(0)
 
 
 class TestRates:
@@ -52,7 +59,7 @@ class TestRates:
     def test_mean_inter_transmission_cross_check_against_stationary_sum(self):
         for R in (2, 5, 9):
             for eta in (0.0, 0.3, 1.0):
-                m = an.build_markov(R)
+                m = build_markov(R)
                 j = np.arange(1, R + 1)
                 direct = float(m.pi @ (eta + (1 - eta) / (j + 1)))
                 assert an.mean_inter_transmission(R, eta) == pytest.approx(direct, abs=1e-14)
@@ -105,9 +112,10 @@ class TestVariances:
         assert an.sigma_H_sq(5) == pytest.approx(28 / 2662)
 
     def test_sigma_h_is_gamma_over_mean_cubed(self):
+        # the library forms gamma_U_sq / mu_U^3; this is the reduced fraction
         for R in range(1, 30):
             assert an.sigma_H_sq(R) == pytest.approx(
-                an.gamma_U_sq(R) / an.mean_update_size(R) ** 3, rel=1e-12)
+                (R * R + R - 2.0) / (2.0 * (2.0 * R + 1.0) ** 3), rel=1e-12, abs=0.0)
 
     def test_single_state_delay_variance(self):
         for eta in (0.0, 0.25, 0.9):
@@ -115,10 +123,15 @@ class TestVariances:
             assert s.sigma_T_sq == pytest.approx((1 - eta) ** 2 / 12, abs=1e-12)
             assert s.Delta == pytest.approx(0.0, abs=1e-12)
             assert s.gamma_U_sq == 0.0
+        # one state: every holding time is eta + (1 - eta) * Uniform(0, 1)
+        for eta in np.linspace(0.0, 0.99, 100):
+            exact = (1 - eta) ** 2 / 12
+            assert abs(an.sigma_T_sq(1, eta) - exact) <= 1e-14 * exact, eta
 
     def test_var_theta1_single_state_is_uniform_variance(self):
-        assert an.var_theta1(1, 0.0) == pytest.approx(1 / 12, abs=1e-15)
-        assert an.var_theta1(1, 0.5) == pytest.approx(0.25 / 12, abs=1e-15)
+        # the closed form that the per-eta matrix oracle uses
+        assert var_theta1(1, 0.0) == pytest.approx(1 / 12, abs=1e-15)
+        assert var_theta1(1, 0.5) == pytest.approx(0.25 / 12, abs=1e-15)
 
     def test_constant_holding_time_reduces_to_hop_variance(self):
         # eta = 1 makes every inter-transmission time exactly one unit
@@ -142,21 +155,34 @@ class TestVariances:
                     expected, abs=1e-12)
 
     def test_sigma_t_nonnegative_over_grid(self):
-        etas = np.linspace(0.0, 1.0, 101)
         for R in range(1, 101):
-            model = an.build_markov(R)
-            Z = an.fundamental_matrix(model)
-            mu_u = an.mean_update_size(R)
-            g_u = an.gamma_U_sq(R)
-            for eta in etas:
-                M = an.holding_time_matrix(model, eta)
-                mu_t = an.mean_inter_transmission(R, eta)
-                g_t = (an.var_theta1(R, eta)
-                       + 2.0 * float(model.pi @ M @ Z @ M @ np.ones(R))
-                       - 2.0 * mu_t**2)
-                delta = an.delta_covariance(R, eta)
-                s_t = (mu_t**2 * g_u + mu_u**2 * g_t - 2 * mu_u * mu_t * delta) / mu_u**3
-                assert s_t >= -1e-14, (R, eta)
+            assert np.all(an.sigma_T_sq(R, ETA_GRID) >= 0.0), R
+
+    def test_sigma_t_matches_per_eta_matrix_path(self):
+        # the eta-free quadratic against Var[theta_1] + 2 pi M Z M 1 - 2 mu^2
+        # formed at each eta from the balance-equation pi
+        for R in range(1, 101):
+            ours = an.sigma_T_sq(R, ETA_GRID)
+            matrix = sigma_T_sq_matrix(R, ETA_GRID)
+            err = np.abs(ours - matrix)
+            assert np.all((err <= 1e-12 * np.abs(matrix)) | (err <= 1e-16)), R
+
+    def test_array_eta_is_the_scalar_value(self):
+        for R in (1, 5, 30):
+            values = an.sigma_T_sq(R, ETA_GRID)
+            rates = an.delay_rate(R, ETA_GRID)
+            for i, eta in enumerate(ETA_GRID.tolist()):
+                assert values[i] == an.sigma_T_sq(R, eta)
+                assert rates[i] == an.delay_rate(R, eta)
+
+    def test_stats_are_explicit_in_one_minus_eta(self):
+        for R in (1, 2, 5, 30):
+            base = an.asymptotic_stats(R, 0.0)
+            for eta in (0.25, 0.5, 0.9):
+                s, st = 1.0 - eta, an.asymptotic_stats(R, eta)
+                assert st.mu_theta == pytest.approx(1.0 - s * (1.0 - base.mu_theta), rel=1e-14)
+                assert st.gamma_theta_sq == pytest.approx(s * s * base.gamma_theta_sq, rel=1e-14)
+                assert st.Delta == pytest.approx(s * base.Delta, rel=1e-14, abs=1e-16)
 
     def test_hop_statistics_do_not_depend_on_eta(self):
         for eta in (0.0, 0.37, 1.0):
@@ -186,14 +212,15 @@ QUADRATIC_R = [1, 2, 3, 5, 10, 30, 50]
 
 @pytest.mark.parametrize("R", QUADRATIC_R)
 def test_delay_variance_rate_is_quadratic_in_eta(R):
-    # the premise of the closed-form minimizer: sigma_T_sq equals its
-    # Lagrange interpolant through eta = 0, 1/2, 1
-    f0, f_half, f1 = (an.sigma_T_sq(R, e) for e in (0.0, 0.5, 1.0))
-    for eta in np.linspace(0.0, 1.0, 11):
+    # the premise of the library's explicit quadratic: the per-eta matrix path
+    # equals its Lagrange interpolant through eta = 0, 1/2, 1
+    etas = np.linspace(0.0, 1.0, 11)
+    f0, f_half, f1 = sigma_T_sq_matrix(R, [0.0, 0.5, 1.0])
+    for eta, value in zip(etas, sigma_T_sq_matrix(R, etas)):
         interp = (f0 * (eta - 0.5) * (eta - 1.0) / 0.5
                   - f_half * eta * (eta - 1.0) / 0.25
                   + f1 * eta * (eta - 0.5) / 0.5)
-        assert an.sigma_T_sq(R, eta) == pytest.approx(interp, rel=0.0, abs=1e-14)
+        assert value == pytest.approx(interp, rel=0.0, abs=1e-14)
 
 
 class TestVarianceMinimizer:
@@ -216,3 +243,13 @@ class TestVarianceMinimizer:
         eta, value = an.minimize_delay_variance(30)
         assert eta == 0.0
         assert value == an.sigma_T_sq(30, 0.0)
+        assert an.minimize_delay_variance(30) == (0.0, an.sigma_T_sq(30, 0.0))
+
+    @pytest.mark.parametrize("R", QUADRATIC_R)
+    def test_minimum_is_the_vertex_of_the_matrix_path(self, R):
+        # vertex of the parabola through the per-eta matrix path at 0, 1/2, 1
+        f0, f_half, f1 = sigma_T_sq_matrix(R, [0.0, 0.5, 1.0])
+        vertex = (3.0 * f0 - 4.0 * f_half + f1) / (4.0 * (f0 - 2.0 * f_half + f1))
+        eta, value = an.minimize_delay_variance(R)
+        assert eta == pytest.approx(min(max(vertex, 0.0), 1.0), abs=1e-12)
+        assert value == an.sigma_T_sq(R, eta)

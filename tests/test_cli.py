@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tricklelab import gf
+from tricklelab import analytics, cli, gf
 from tricklelab.cli import main
 from tricklelab.core import TrickleParams
 from tricklelab.simulate import LineTopology, monte_carlo
@@ -254,6 +258,12 @@ class TestValidation:
         ("gf", "--R", "3", "--n", "5", "--m-max", "100000000"),
         ("gf", "--R", "1", "--n", "3", "--m-max", "50000000"),   # over gf.MAX_CELLS
         ("exact", "--R", "10000", "--n", "20000"),
+        ("analyze", "--R", "501"),                                 # R x R over gf.MAX_CELLS
+        ("sweep-eta", "--R", "501"),
+        ("compare", "--R", "501", "--n", "5", "--reps", "2"),
+        ("analyze", "--R", "30000"),
+        ("sweep-eta", "--R", "3", "--steps", "10000000000000"),    # grid over gf.MAX_CELLS
+        ("sweep-eta", "--R", "5", "--steps", "100000"),
     ])
     def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
         # leading NAME=value items set environment variables
@@ -275,6 +285,29 @@ class TestValidation:
                 main(argv)
             assert exc.value.code == 2
             assert "over the limit" in capsys.readouterr().err
+
+    def test_oversized_chain_solve_is_refused_before_it_starts(self, capsys, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("an oversized query reached the solver")
+        for name in ("solve_chain", "asymptotic_stats", "sigma_T_sq", "normal_approx",
+                     "minimize_delay_variance", "transition_matrix"):
+            monkeypatch.setattr(analytics, name, unreachable)
+        monkeypatch.setattr(cli, "monte_carlo", unreachable)
+        for argv in (["analyze", "--R", "501"], ["sweep-eta", "--R", "501"],
+                     ["compare", "--R", "501", "--n", "5", "--reps", "2"],
+                     ["sweep-eta", "--R", "3", "--steps", "10000000000000"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "over the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--R", "500"),                  # the largest R admitted
+        ("sweep-eta", "--R", "30", "--steps", "101"),  # the benchmark's sweeps
+        ("sweep-eta", "--R", "5", "--steps", "10000"),
+    ])
+    def test_chain_limits_admit_the_analytic_queries_in_use(self, argv):
+        assert main([*argv, "--out", os.devnull]) == 0
 
     @pytest.mark.parametrize("R, n", [(2, 1500), (10, 1000), (30, 1500), (30, 20000)])
     def test_work_limits_admit_the_exact_queries_in_use(self, R, n):
@@ -314,3 +347,106 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# --- fuzzing the flags ---------------------------------------------------------
+
+# small valid values often, so that queries run as well as get refused
+INTS = st.one_of(
+    st.integers(1, 12).map(str),
+    st.integers(1, 12).map(str),
+    st.integers(-3, 0).map(str),
+    st.sampled_from(["40", "1000", str(10**12), str(2**63), str(10**30), str(-10**30),
+                     "nan", "inf", "-inf", "1e3", "2.5", "", "x"]))
+FLOATS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.floats(-0.5, 1.5).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e308", "1e-320", "", "x"]))
+FORMATS = st.sampled_from(["csv", "json", "xml", ""])
+FLAGS = {"--R": INTS, "--n": INTS, "--eta": FLOATS, "--steps": INTS,
+         "--m-max": INTS, "--format": FORMATS}
+RUNS = {  # (required flags, optional flags)
+    "analyze": (("--R",), ("--eta", "--format")),
+    "sweep-eta": (("--R",), ("--steps", "--format")),
+    "exact": (("--R", "--n"), ("--eta", "--format")),
+    "gf": (("--R", "--n"), ("--eta", "--m-max", "--format")),
+}
+
+
+def exit_code(argv) -> int:
+    """main's exit code, or 1 where it raises, as a traceback would exit."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+        except Exception:
+            return 1
+
+
+@st.composite
+def fuzzed_query(draw):
+    command = draw(st.sampled_from(sorted(RUNS)))
+    required, optional = RUNS[command]
+    argv = [command, "--out", os.devnull]
+    for flag in required:
+        argv += [flag, draw(FLAGS[flag])]
+    for flag in optional:
+        value = draw(st.none() | FLAGS[flag])
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_query())
+def test_fuzzed_flags_exit_0_2_or_3(argv):
+    assert exit_code(argv) in (0, 2, 3), argv
+
+
+VALID_SAMPLING = {"--R": "3", "--n": "10", "--eta": "0.5", "--reps": "5", "--seed": "1",
+                  "--k": "1", "--tau-h": "inf", "--engine": "renewal", "--format": "csv"}
+INVALID_SAMPLING = {
+    "--R": ["0", "-1", "nan", "2.5", "x", str(-10**30)],
+    "--n": ["0", "-5", "inf", ""],
+    "--eta": ["nan", "-0.1", "1.5", "inf", "-inf", "x"],
+    "--reps": ["0", "-1", "1e3"],
+    "--seed": ["-1", "x", "nan"],
+    "--k": ["0", "-2", "2.5"],
+    "--tau-h": ["0.5", "0", "-1", "nan", "-inf", "x"],
+    "--engine": ["bogus", ""],
+    "--format": ["xml"],
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.sampled_from(["simulate", "compare"]),
+       st.dictionaries(st.sampled_from(sorted(INVALID_SAMPLING)), st.integers(0, 5),
+                       min_size=1))
+def test_fuzzed_invalid_sampling_flags_exit_2(command, broken):
+    flags = dict(VALID_SAMPLING)
+    for flag, pick in broken.items():
+        choices = INVALID_SAMPLING[flag]
+        flags[flag] = choices[pick % len(choices)]
+    argv = [command, "--out", os.devnull] + [x for kv in flags.items() for x in kv]
+    assert exit_code(argv) == 2, argv
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "simulate holds every sample in memory, so a huge --reps fails to allocate "
+    "and exits 1; see the bounded-memory item of ROADMAP.md"))
+def test_huge_reps_exits_0_2_or_3():
+    # in a child whose address space is capped, so that the allocation fails
+    # the same way wherever memory is overcommitted
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import resource, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+              "from tricklelab.cli import main; "
+              "sys.exit(main(['simulate', '--R', '3', '--n', '10', "
+              "'--reps', '10000000000000', '--out', sys.argv[1]]))")
+    result = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode in (0, 2, 3), result.stderr[-500:]

@@ -18,10 +18,9 @@ from tricklelab.simulate import (
     replication_stream,
     run_protocol_event,
     sample_renewal_event,
-    validate_wavefront,
 )
 
-from oracles import estimate_time_variance_rate
+from oracles import estimate_time_variance_rate, validate_wavefront
 
 
 class TestTopology:
@@ -329,9 +328,9 @@ class TestKSDistance:
 
 class TestVarianceRateEstimate:
     def test_matches_matrix_formula(self):
-        from tricklelab.analytics import gamma_theta_sq
+        from tricklelab.analytics import asymptotic_stats
         est = estimate_time_variance_rate(5, 0.25, 200_000, seed=3)
-        assert est == pytest.approx(gamma_theta_sq(5, 0.25), rel=0.05)
+        assert est == pytest.approx(asymptotic_stats(5, 0.25).gamma_theta_sq, rel=0.05)
 
 
 def test_wavefront_validator_flags_out_of_block_sender():

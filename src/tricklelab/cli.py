@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gf", help="exact laws via generating functions, "
                        "cross-checked against the DP route")
     common(p, n=True)
-    p.add_argument("--m-max", type=int, default=None, dest="m_max",
-                   help="hop truncation order (default: exact, n)")
 
     p = sub.add_parser("simulate", help="Monte Carlo propagation events")
     common(p, n=True, reps=True, sim=True)
@@ -124,13 +122,11 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--k must be >= 1, got {args.k}")
     if getattr(args, "steps", 2) < 2:
         parser.error(f"--steps must be >= 2, got {args.steps}")
-    if getattr(args, "m_max", None) is not None and args.m_max < 1:
-        parser.error(f"--m-max must be >= 1, got {args.m_max}")
     costs = []
     if args.command in ("exact", "gf"):
         costs.append(gf.dp_cost(args.R, args.n))
     if args.command == "gf":
-        costs.append(gf.transform_cost(args.R, args.n, args.m_max or args.n))
+        costs.append(gf.transform_cost(args.R, args.n))
     if args.command in ("analyze", "compare", "sweep-eta"):
         costs.append(analytics.solve_cost(args.R))
     if args.command == "sweep-eta":
@@ -232,7 +228,7 @@ def _pmf_dataset(args, pmf, mean, variance, dp_pmf=None) -> dict:
     for m, p in enumerate(pmf):
         row = [m, float(p)]
         if dp_pmf is not None:
-            row.append(float(dp_pmf[m]) if m < len(dp_pmf) else 0.0)
+            row.append(float(dp_pmf[m]))
         rows.append(row)
     payload = {
         "n": args.n,
@@ -251,14 +247,15 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_gf(args) -> dict:
-    pmf = gf.hop_pmf_gf(args.R, args.n, args.m_max)
+    pmf = gf.hop_pmf_gf(args.R, args.n)
     moments = gf.delay_moments_gf(args.R, args.eta, args.n)
     mean = moments[0]
     variance = moments[1] - moments[0] ** 2
     dp_pmf, dp_mean, dp_var = gf.exact_law_dp(args.R, args.eta, args.n)
-    width = max(len(pmf), len(dp_pmf))
-    pad = lambda a: np.pad(a, (0, width - len(a)))
-    pmf_err = float(np.max(np.abs(pad(pmf) - pad(dp_pmf))))
+    if len(pmf) != len(dp_pmf):
+        raise EngineMismatchError(f"the generating-function pmf has {len(pmf)} "
+                                  f"entries and the DP oracle's {len(dp_pmf)}")
+    pmf_err = float(np.max(np.abs(pmf - dp_pmf)))
     mean_err = abs(mean - dp_mean) / dp_mean
     # relative to the variance, but no finer than 1e-4 of E[T^2]: below that
     # both variances are cancellation noise of E[T^2] - E[T]^2
@@ -268,7 +265,7 @@ def _cmd_gf(args) -> dict:
             f"generating-function results drifted from the DP oracle: "
             f"pmf {pmf_err:.3e}, mean {mean_err:.3e}, variance {var_err:.3e}"
         )
-    return _pmf_dataset(args, pmf, mean, variance, dp_pmf=pad(dp_pmf))
+    return _pmf_dataset(args, pmf, mean, variance, dp_pmf=dp_pmf)
 
 
 def _run_samples(args):

@@ -14,7 +14,8 @@ Two independent routes to the same laws:
   variance at once; used as the accuracy oracle.  The mass reaching each
   next size is a suffix sum over the current sizes and only the live band
   of coverage rows is kept, so a step costs O(R * band), band <= n, and a
-  query O(n^2) in all; the transform route grows like R^2 n^3.
+  query O(n^2) in all; the transform route grows like R^2 n M^2, with
+  M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
 
 The command line refuses, before starting it, a query whose work or memory
 bound (dp_cost, transform_cost) exceeds MAX_WORK or MAX_CELLS.
@@ -74,6 +75,13 @@ def holding_series(j: int, eta: float, order: int) -> np.ndarray:
     return np.array([step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)])
 
 
+def max_hops(R: int, n: int) -> int:
+    """The largest hop count with which an update can reach size n: the
+    first broadcast covers R nodes and any two in a row at least R + 1, so
+    it is the smallest m with (m // 2)(R + 1) + (m % 2) R >= n."""
+    return 2 * (n // (R + 1)) + (n % (R + 1) > 0)
+
+
 # --- visit transforms ---------------------------------------------------------
 #
 # V[u] sums, over the steps m of the chain started in state 1 with nothing
@@ -115,19 +123,20 @@ def _solve_visits(R, variables, degrees, sweeps, step) -> list[TruncatedSeries]:
 def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[TruncatedSeries]:
     """Visit transforms V[1..R] in hop mode, as (nodes, hops) series.
 
-    A path of m steps carries node degree >= m and hop degree exactly m, so
-    min(node_degree, step_degree) + 1 sweeps reach the exact truncated
-    solution.
+    A path of m steps carries hop degree exactly m, and one that covers at
+    most node_degree nodes has m <= max_hops(R, node_degree), so
+    min(max_hops(R, node_degree), step_degree) + 1 sweeps reach the exact
+    truncated solution.
     """
     return _solve_visits(R, (NODE_VAR, HOP_VAR), (node_degree, step_degree),
-                         min(node_degree, step_degree) + 1, _hop_step)
+                         min(max_hops(R, node_degree), step_degree) + 1, _hop_step)
 
 
 def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[TruncatedSeries]:
-    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose
-    time axis holds moment-series coefficients; node_degree + 1 sweeps."""
+    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose time
+    axis holds moment-series coefficients; max_hops(R, node_degree) + 1 sweeps."""
     return _solve_visits(R, (NODE_VAR, TIME_VAR), (node_degree, order),
-                         node_degree + 1, _delay_step(R, eta, order))
+                         max_hops(R, node_degree) + 1, _delay_step(R, eta, order))
 
 
 # --- master series and extraction ---------------------------------------------
@@ -147,32 +156,24 @@ def _master_series(visits: list[TruncatedSeries], step) -> TruncatedSeries:
     return TruncatedSeries(leave.variables, coeffs)
 
 
-def hop_master_series(R: int, n_max: int, m_max: int) -> TruncatedSeries:
-    """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n]."""
-    return _master_series(solve_hop_system(R, n_max, m_max), _hop_step)
+def hop_master_series(R: int, n_max: int) -> TruncatedSeries:
+    """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n],
+    for n <= n_max and every possible m <= max_hops(R, n_max)."""
+    return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max)), _hop_step)
 
 
-def hop_pmf_gf(R: int, n: int, m_max: int | None = None) -> np.ndarray:
-    """Exact hop-count pmf at size n via the transform route.
-
-    With the default truncation (hop degree n) the support is fully covered;
-    an explicit, too-small m_max raises TruncationInsufficientError.
-    """
+def hop_pmf_gf(R: int, n: int) -> np.ndarray:
+    """Exact hop-count pmf at size n via the transform route; entry m is
+    P[hop count = m] for m <= max_hops(R, n).  Entries below ceil(n / R),
+    the fewest hops that cover n nodes, are exact zeros."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    explicit = m_max is not None
-    if m_max is None:
-        m_max = n
-    pmf = hop_master_series(R, n, m_max).coeffs[n, :]
+    pmf = hop_master_series(R, n).coeffs[n, :]
+    pmf[:-(-n // R)] = 0.0  # 1 - cumsum leaves rounding residue there
     tail = abs(1.0 - pmf.sum())
     if tail > PMF_TAIL_TOL:
-        if explicit:
-            raise TruncationInsufficientError(
-                f"hop pmf tail mass {tail:.3e} exceeds {PMF_TAIL_TOL} at m_max={m_max}"
-            )
         raise TruncationInsufficientError(
-            f"hop pmf tail mass {tail:.3e} at full truncation m_max={m_max}; "
-            "this indicates an internal error"
+            f"hop pmf tail mass {tail:.3e} exceeds {PMF_TAIL_TOL} at {len(pmf) - 1} hops"
         )
     return pmf
 
@@ -250,23 +251,23 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
 
 def dp_cost(R: int, n: int) -> tuple[int, int]:
     """Upper bounds on the (cell updates, floats of working arrays) of
-    exact_law_dp(R, eta, n).  A step holds at most min(R, n) sizes of 3
-    moments over the band and its shifted copy, each at most n rows wide; as
-    two consecutive update sizes cover at least R + 1 nodes, there are at most
-    2n / (R + 1) + 2 steps."""
+    exact_law_dp(R, eta, n).  Each of its max_hops(R, n) steps holds at most
+    min(R, n) sizes of 3 moments over the band and its shifted copy, each at
+    most n rows wide."""
     sizes = min(R, n)
-    return sizes * n * (2 * n // (R + 1) + 2), 6 * sizes * n
+    return sizes * n * max_hops(R, n), 6 * sizes * n
 
 
-def transform_cost(R: int, n: int, m_max: int) -> tuple[int, int]:
+def transform_cost(R: int, n: int) -> tuple[int, int]:
     """Upper bounds on the (element updates, floats of the R visit
-    transforms) of the transform route at (R, n, m_max).  Each of its sweeps
-    is a sum of about R^2 / 2 scaled series, two passes per term: the hop
-    system makes min(n, m_max) + 1 sweeps over (n + 1) x (m_max + 1) series,
-    and every term of its n + 1 delay sweeps costs about as much Python as
-    1000 element updates."""
-    cells = R * (n + 1) * (m_max + 1)
-    return R * (cells * (min(n, m_max) + 1) + 1000 * R * (n + 1)), cells
+    transforms) of the transform route at (R, n).  With M = max_hops(R, n),
+    each system makes M + 1 sweeps.  A hop sweep makes about R^2 + 6R passes
+    over (n + 1) x (M + 1) series: two for each of its R(R + 1)/2 terms and
+    about five per state for its shifts and sums.  A term of either system
+    also costs about as much Python as 2000 element updates."""
+    hops = max_hops(R, n)
+    cells = R * (n + 1) * (hops + 1)
+    return ((R + 6) * cells + 2000 * R * R) * (hops + 1), cells
 
 
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:

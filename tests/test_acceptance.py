@@ -127,13 +127,11 @@ def test_criterion_5_transform_route_equals_dp_oracle():
         worst_pmf = 0.0
         for R in range(1, 7):
             for n in range(1, 41):
-                pmf = gf.hop_master_series(R, n, n).coeffs[n, :]
+                pmf = gf.hop_master_series(R, n).coeffs[n, :]
                 dp = gf.hop_pmf_dp(R, n)
-                width = max(len(dp), len(pmf))
-                a = np.pad(pmf, (0, width - len(pmf)))
-                b = np.pad(dp, (0, width - len(dp)))
-                worst_pmf = max(worst_pmf, float(np.max(np.abs(a - b))))
-                assert abs(b.sum() - 1.0) < 1e-12
+                assert len(pmf) == len(dp)
+                worst_pmf = max(worst_pmf, float(np.max(np.abs(pmf - dp))))
+                assert abs(dp.sum() - 1.0) < 1e-12
 
         worst_mean = worst_var = 0.0
         for R in range(1, 7):

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +74,22 @@ class TestExactAndGF:
         assert a["variance"] == pytest.approx(b["variance"], rel=1e-9)
         assert list(a)[:5] == ["n", "R", "eta", "mean", "variance"]
 
+    @pytest.mark.parametrize("R, n", [(1, 1), (3, 3), (5, 20), (2, 13)])
+    def test_gf_and_exact_pmfs_end_at_the_largest_hop_count(self, capsys, R, n):
+        argv = ("--R", str(R), "--n", str(n), "--format", "json")
+        _, gf_out, _ = run_cli(capsys, "gf", *argv)
+        _, dp_out, _ = run_cli(capsys, "exact", *argv)
+        pmf, dp_pmf = json.loads(gf_out)["pmf"], json.loads(dp_out)["pmf"]
+        assert len(pmf) == len(dp_pmf) == gf.max_hops(R, n) + 1
+        assert pmf[-1] > 0.0
+        assert [p == 0.0 for p in pmf] == [p == 0.0 for p in dp_pmf]
+
+    def test_gf_pmf_length_mismatch_exits_3(self, capsys, monkeypatch):
+        exact_pmf = gf.hop_pmf_gf
+        monkeypatch.setattr(gf, "hop_pmf_gf", lambda *a: np.append(exact_pmf(*a), 0.0))
+        code, _, err = run_cli(capsys, "gf", "--R", "3", "--n", "9")
+        assert code == 3 and "entries" in err
+
     NEAR_ZERO_VARIANCE = [("--R", "1", "--n", "14", "--eta", "1"),
                           ("--R", "1", "--n", "4", "--eta", "0.999999")]
 
@@ -113,11 +130,12 @@ class TestExactAndGF:
         code, _, _ = run_cli(capsys, "gf", "--R", "3", "--n", "9", "--eta", "0.25")
         assert code == expected
 
-    def test_gf_insufficient_truncation_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "gf", "--R", "2", "--n", "10",
-                               "--m-max", "3")
+    def test_gf_insufficient_truncation_exits_3(self, capsys, monkeypatch):
+        max_hops = gf.max_hops
+        monkeypatch.setattr(gf, "max_hops", lambda R, n: max_hops(R, n) - 1)
+        code, _, err = run_cli(capsys, "gf", "--R", "2", "--n", "10")
         assert code == 3
-        assert "error" in err
+        assert "tail mass" in err
 
 
 class TestSimulate:
@@ -248,15 +266,15 @@ class TestValidation:
         ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "0.5"),
         ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "-1"),
         ("simulate", "--R", "2", "--n", "5", "--engine", "protocol", "--tau-h", "nan"),
-        ("gf", "--R", "3", "--n", "5", "--m-max", "-1"),
+        ("gf", "--R", "3", "--n", "0"),
         ("simulate", "--R", "2", "--n", "5", "--reps", "2", "--seed", "-1"),
         ("TRICKLE_LAB_SEED=abc", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("TRICKLE_LAB_SEED=-3", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("compare", "--R", "2", "--n", "5", "--reps", "1"),         # no sample variance
-        ("gf", "--R", "5", "--n", "500"),                          # over gf.MAX_WORK
+        ("gf", "--R", "5", "--n", "1000"),                         # over gf.MAX_WORK
         ("exact", "--R", "30", "--n", "100000"),
-        ("gf", "--R", "3", "--n", "5", "--m-max", "100000000"),
-        ("gf", "--R", "1", "--n", "3", "--m-max", "50000000"),   # over gf.MAX_CELLS
+        ("gf", "--R", "1", "--n", "522"),                          # the first n refused at R = 1
+        ("gf", "--R", "500", "--n", "1"),                          # the first R refused at n = 1
         ("exact", "--R", "10000", "--n", "20000"),
         ("analyze", "--R", "501"),                                 # R x R over gf.MAX_CELLS
         ("sweep-eta", "--R", "501"),
@@ -280,7 +298,8 @@ class TestValidation:
             raise AssertionError("an oversized query reached the solver")
         for name in ("exact_law_dp", "hop_pmf_gf", "delay_moments_gf"):
             monkeypatch.setattr(gf, name, unreachable)
-        for argv in (["exact", "--R", "30", "--n", "100000"], ["gf", "--R", "5", "--n", "500"]):
+        for argv in (["exact", "--R", "30", "--n", "100000"], ["gf", "--R", "5", "--n", "1000"],
+                     ["gf", "--R", "500", "--n", "1"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -315,6 +334,19 @@ class TestValidation:
         # the README; the gf sizes are far smaller
         work, cells = gf.dp_cost(R, n)
         assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
+
+    @pytest.mark.parametrize("R, n", [(5, 500), (30, 300), (1, 521), (499, 1)])
+    def test_work_limits_admit_gf_queries(self, R, n):
+        # the CI smoke run, the README, and the largest n at R = 1 and R at n = 1
+        work, cells = map(sum, zip(gf.dp_cost(R, n), gf.transform_cost(R, n)))
+        assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
+
+    def test_gf_work_limit_binds_before_its_cells_limit(self):
+        # so the cells limit of an exact-law query is reached first only by exact
+        for R in range(1, 600):
+            for n in sorted({int(1.2 ** k) for k in range(70)}):
+                work, cells = map(sum, zip(gf.dp_cost(R, n), gf.transform_cost(R, n)))
+                assert cells <= gf.MAX_CELLS or work > gf.MAX_WORK
 
     def test_tau_h_inf_literal_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--R", "2", "--n", "5",
@@ -363,13 +395,12 @@ FLOATS = st.one_of(
     st.floats(-0.5, 1.5).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e308", "1e-320", "", "x"]))
 FORMATS = st.sampled_from(["csv", "json", "xml", ""])
-FLAGS = {"--R": INTS, "--n": INTS, "--eta": FLOATS, "--steps": INTS,
-         "--m-max": INTS, "--format": FORMATS}
+FLAGS = {"--R": INTS, "--n": INTS, "--eta": FLOATS, "--steps": INTS, "--format": FORMATS}
 RUNS = {  # (required flags, optional flags)
     "analyze": (("--R",), ("--eta", "--format")),
     "sweep-eta": (("--R",), ("--steps", "--format")),
     "exact": (("--R", "--n"), ("--eta", "--format")),
-    "gf": (("--R", "--n"), ("--eta", "--m-max", "--format")),
+    "gf": (("--R", "--n"), ("--eta", "--format")),
 }
 
 

@@ -185,21 +185,32 @@ class TestHopLaw:
     def test_matches_dp_oracle(self):
         for R in (2, 3, 4):
             for n in range(1, 26):
-                pmf = gf.hop_master_series(R, n, n).coeffs[n, :]
+                pmf = gf.hop_master_series(R, n).coeffs[n, :]
                 dp = gf.hop_pmf_dp(R, n)
-                width = max(len(dp), len(pmf))
-                a = np.pad(pmf, (0, width - len(pmf)))
-                b = np.pad(dp, (0, width - len(dp)))
-                assert np.max(np.abs(a - b)) < 1e-9
+                assert len(pmf) == len(dp)
+                assert np.max(np.abs(pmf - dp)) < 1e-9
 
     def test_setting_hop_variable_to_one_gives_normalization(self):
-        master = gf.hop_master_series(3, 20, 20)
+        master = gf.hop_master_series(3, 20)
         norm = master.coeffs.sum(axis=1)  # hops axis
         assert np.allclose(norm, np.ones(21), atol=1e-9)
 
-    def test_insufficient_explicit_truncation_raises(self):
+    def test_insufficient_truncation_raises(self, monkeypatch):
+        # one hop short of the support loses P[hop count = max_hops] = 1/8
+        max_hops = gf.max_hops
+        monkeypatch.setattr(gf, "max_hops", lambda R, n: max_hops(R, n) - 1)
         with pytest.raises(gf.TruncationInsufficientError):
-            gf.hop_pmf_gf(2, 10, m_max=3)
+            gf.hop_pmf_gf(2, 10)
+
+    def test_pmf_has_the_dp_support_and_no_negative_entries(self):
+        # the transform pmf ends at max_hops, as the DP's does, and is an
+        # exact (positive) zero exactly where the DP's is: below ceil(n / R)
+        for R in range(1, 9):
+            for n in range(1, 61):
+                pmf, dp = gf.hop_pmf_gf(R, n), gf.hop_pmf_dp(R, n)
+                assert len(pmf) == len(dp) == gf.max_hops(R, n) + 1
+                assert not np.signbit(pmf).any()
+                assert np.array_equal(pmf == 0.0, dp == 0.0)
 
     def test_dp_pmf_sums_to_one(self):
         for R, n in [(1, 7), (2, 13), (5, 40)]:
@@ -223,10 +234,55 @@ class TestExactLawDP:
         assert dp_var == pytest.approx(float(var), rel=1e-13, abs=1e-15)
 
     def test_steps_within_work_bound(self):
-        # gf.dp_cost assumes at most 2n / (R + 1) + 2 steps
+        # gf.dp_cost counts max_hops(R, n) steps
         for R in range(1, 9):
             for n in range(1, 80):
-                assert len(gf.exact_law_dp(R, 0.5, n)[0]) - 1 <= 2 * n // (R + 1) + 2
+                assert len(gf.exact_law_dp(R, 0.5, n)[0]) - 1 <= gf.max_hops(R, n)
+
+
+class TestSupport:
+    """The hop count at size n ranges over ceil(n / R) .. max_hops(R, n), and
+    both ends occur: R, R, ... covers n fastest and R, 1, R, 1, ... slowest."""
+
+    def test_max_hops_is_the_smallest_covering_count(self):
+        cover = lambda R, m: (m // 2) * (R + 1) + (m % 2) * R
+        for R in range(1, 12):
+            for n in range(1, 200):
+                m = gf.max_hops(R, n)
+                assert cover(R, m) >= n > cover(R, m - 1)
+
+    def test_dp_support(self):
+        for R in range(1, 9):
+            for n in range(1, 61):
+                pmf = gf.exact_law_dp(R, 0.5, n)[0]
+                assert len(pmf) == gf.max_hops(R, n) + 1
+                assert np.flatnonzero(pmf)[0] == -(-n // R)
+                assert pmf[-1] > 0.0
+
+    @pytest.mark.parametrize("R", range(1, 6))
+    def test_rational_path_sum_support(self, R):
+        for n in range(1, 13):
+            pmf = exact_law_paths(R, Fraction(0), n)[0]
+            assert len(pmf) == gf.max_hops(R, n) + 1
+            assert [p != 0 for p in pmf].index(True) == -(-n // R)
+            assert pmf[-1] > 0
+
+    @pytest.mark.parametrize("R, n", [(1, 1), (1, 12), (3, 2), (3, 3), (4, 4), (2, 12), (5, 18),
+                                      (5, 20), (8, 30)])
+    def test_one_more_sweep_changes_nothing(self, monkeypatch, R, n):
+        # the sweep counts already reach the exact truncated solution: the
+        # visit transforms are bit-identical after one more Jacobi sweep
+        def solve_both():
+            hops = gf.solve_hop_system(R, n, gf.max_hops(R, n))
+            wide = gf.solve_hop_system(R, n, n + 2)  # step degree above the support
+            return hops + wide + gf.solve_delay_system(R, 0.3, n, 3)
+
+        base = solve_both()
+        solve = gf._solve_visits
+        monkeypatch.setattr(gf, "_solve_visits",
+                            lambda R, v, d, sweeps, step: solve(R, v, d, sweeps + 1, step))
+        more = solve_both()
+        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(base, more))
 
 
 class TestDelayLaw:

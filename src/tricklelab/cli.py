@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 flag validation, 3 engine error, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
@@ -23,6 +25,7 @@ from .simulate import (
     DegenerateInputError,
     LineTopology,
     NonTerminationError,
+    RENEWAL_BLOCK,
     ks_distance,
     monte_carlo,
 )
@@ -31,6 +34,8 @@ EXIT_ENGINE_ERROR = 3
 EXIT_IO_ERROR = 4
 
 GF_DP_TOL = 1e-9
+
+CSV_BLOCK = 1 << 14  # CSV rows formatted and written at a time
 
 
 class EngineMismatchError(RuntimeError):
@@ -43,6 +48,7 @@ def _parse_tau(text: str) -> float:
     return float(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tricklelab",
@@ -130,8 +136,18 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     if args.command in ("analyze", "compare", "sweep-eta"):
         costs.append(analytics.solve_cost(args.R))
     if args.command == "sweep-eta":
-        # a grid point's row list, JSON dict and text take about 1.3 kB
+        # a grid point takes about 1.1 kB as JSON dicts and text
         costs.append((0, 160 * args.steps))
+    if args.command in ("simulate", "compare"):
+        # peak memory per replication, measured at R = 5, n = 250: 16 B for
+        # CSV simulate, 240 B for JSON simulate and 80 B for compare
+        per_rep = 10 if args.command == "compare" else 2 if args.output_format == "csv" else 30
+        costs.append((0, per_rep * args.reps))
+        if args.engine == "renewal":
+            # a lane-step takes 10-23 ns and a block's lockstep step 7-22 us,
+            # by machine load: about 5 and 4000 updates
+            blocks = -(-args.reps // RENEWAL_BLOCK)
+            costs.append((gf.max_hops(args.R, args.n) * (5 * args.reps + 4000 * blocks), 0))
     if costs:
         work, cells = map(sum, zip(*costs))
         if work > gf.MAX_WORK or cells > gf.MAX_CELLS:
@@ -154,50 +170,42 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
                          "use --engine protocol for finite --tau-h")
 
 
-# --- dataset emission ---------------------------------------------------------
+# --- output -------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def emit(result, out_path: str | None) -> None:
+    """Write a command's result: a JSON payload (a dict), or a CSV
+    (header, columns) pair written CSV_BLOCK rows at a time.
 
-
-def emit(dataset: dict, output_format: str, out_path: str | None) -> None:
-    """Write a dataset as CSV (header + rows) or JSON with stable key order.
-
-    `dataset` carries `columns` plus either `rows` of values or `lines` of
-    already formatted CSV rows for tabular output, and `json` for the JSON
-    rendering.
+    A CSV cell is str() of a Python int, float or string; numpy columns are
+    converted block by block, so the text of one block at a time is held.
     """
-    if output_format == "json":
-        text = json.dumps(dataset["json"], indent=2) + "\n"
-    else:
-        lines = [",".join(dataset["columns"])]
-        if "lines" in dataset:
-            lines.extend(dataset["lines"])
-        else:
-            lines.extend(",".join(_fmt(v) for v in row) for row in dataset["rows"])
-        text = "\n".join(lines) + "\n"
     try:
-        if out_path is None:
-            sys.stdout.write(text)
-        else:
-            with open(out_path, "w", newline="") as fh:
-                fh.write(text)
+        with (contextlib.nullcontext(sys.stdout) if out_path is None
+              else open(out_path, "w", newline="")) as fh:
+            if isinstance(result, dict):
+                fh.write(json.dumps(result, indent=2) + "\n")
+                return
+            header, columns = result
+            fh.write(",".join(header) + "\n")
+            for lo in range(0, len(columns[0]), CSV_BLOCK):
+                cells = (map(str, _values(c[lo:lo + CSV_BLOCK])) for c in columns)
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO_ERROR)
 
 
+def _values(part):
+    return part.tolist() if isinstance(part, np.ndarray) else part
+
+
 # --- commands -----------------------------------------------------------------
+#
+# A command returns only the rendering that --format asks for.
 
 
-def _cmd_analyze(args) -> dict:
+def _cmd_analyze(args):
     stats = analytics.asymptotic_stats(args.R, args.eta)
     scalars = {
         "R": args.R,
@@ -212,41 +220,25 @@ def _cmd_analyze(args) -> dict:
         "sigma_H_sq": stats.sigma_H_sq,
         "sigma_T_sq": stats.sigma_T_sq,
     }
-    payload = dict(scalars)
-    payload["Z"] = stats.Z.tolist()
-    payload["M"] = stats.M.tolist()
-    return {
-        "columns": list(scalars),
-        "rows": [list(scalars.values())],
-        "json": payload,
-    }
+    if args.output_format == "csv":
+        return list(scalars), [[v] for v in scalars.values()]
+    return {**scalars, "Z": stats.Z.tolist(), "M": stats.M.tolist()}
 
 
-def _pmf_dataset(args, pmf, mean, variance, dp_pmf=None) -> dict:
-    columns = ["m", "probability"] + (["dp_probability"] if dp_pmf is not None else [])
-    rows = []
-    for m, p in enumerate(pmf):
-        row = [m, float(p)]
-        if dp_pmf is not None:
-            row.append(float(dp_pmf[m]))
-        rows.append(row)
-    payload = {
-        "n": args.n,
-        "R": args.R,
-        "eta": args.eta,
-        "mean": mean,
-        "variance": variance,
-        "pmf": [float(p) for p in pmf],
-    }
-    return {"columns": columns, "rows": rows, "json": payload}
+def _pmf_result(args, pmf, mean, variance, *dp_pmf):
+    if args.output_format == "csv":
+        header = ["m", "probability", "dp_probability"][:2 + len(dp_pmf)]
+        return header, [range(len(pmf)), pmf, *dp_pmf]
+    return {"n": args.n, "R": args.R, "eta": args.eta, "mean": mean,
+            "variance": variance, "pmf": pmf.tolist()}
 
 
-def _cmd_exact(args) -> dict:
+def _cmd_exact(args):
     pmf, mean, variance = gf.exact_law_dp(args.R, args.eta, args.n)
-    return _pmf_dataset(args, pmf, mean, variance)
+    return _pmf_result(args, pmf, mean, variance)
 
 
-def _cmd_gf(args) -> dict:
+def _cmd_gf(args):
     pmf = gf.hop_pmf_gf(args.R, args.n)
     moments = gf.delay_moments_gf(args.R, args.eta, args.n)
     mean = moments[0]
@@ -265,7 +257,7 @@ def _cmd_gf(args) -> dict:
             f"generating-function results drifted from the DP oracle: "
             f"pmf {pmf_err:.3e}, mean {mean_err:.3e}, variance {var_err:.3e}"
         )
-    return _pmf_dataset(args, pmf, mean, variance, dp_pmf=dp_pmf)
+    return _pmf_result(args, pmf, mean, variance, dp_pmf)
 
 
 def _run_samples(args):
@@ -274,18 +266,14 @@ def _run_samples(args):
     return monte_carlo(params, topo, args.reps, seed=args.seed, engine=args.engine)
 
 
-def _cmd_simulate(args) -> dict:
+def _cmd_simulate(args):
     samples = _run_samples(args)
-    h = samples.h_samples.tolist()
-    t = samples.t_samples.tolist()
-    payload = dict(samples.meta)
-    payload["H"] = h
-    payload["T"] = t
-    lines = [f"{i},{hi},{ti!r}" for i, (hi, ti) in enumerate(zip(h, t))]
-    return {"columns": ["rep", "H", "T"], "lines": lines, "json": payload}
+    if args.output_format == "csv":
+        return ["rep", "H", "T"], [range(args.reps), samples.h_samples, samples.t_samples]
+    return {**samples.meta, "H": samples.h_samples.tolist(), "T": samples.t_samples.tolist()}
 
 
-def _cmd_compare(args) -> dict:
+def _cmd_compare(args):
     samples = _run_samples(args)
     (mean_h, std_h), (mean_t, std_t) = analytics.normal_approx(args.R, args.eta, args.n)
     h = samples.h_samples.astype(float)
@@ -294,39 +282,29 @@ def _cmd_compare(args) -> dict:
         ks_t = ks_distance(t, (mean_t, std_t))
     except DegenerateInputError:
         ks_t = math.nan  # zero analytic spread (R = 1, eta = 1); null in JSON
-    rows = [
-        ["mean_H", float(h.mean()), mean_h],
-        ["var_H", float(h.var(ddof=1)), std_h**2],
-        ["mean_T", float(t.mean()), mean_t],
-        ["var_T", float(t.var(ddof=1)), std_t**2],
-        ["ks_T", ks_t, 0.0],
-    ]
-    payload = {
+    metrics = ["mean_H", "var_H", "mean_T", "var_T", "ks_T"]
+    empirical = np.array([h.mean(), h.var(ddof=1), t.mean(), t.var(ddof=1), ks_t])
+    analytic = np.array([mean_h, std_h**2, mean_t, std_t**2, 0.0])
+    if args.output_format == "csv":
+        return ["metric", "empirical", "analytic"], [metrics, empirical, analytic]
+    return {
         "R": args.R, "n": args.n, "eta": args.eta, "k": args.k,
         "reps": args.reps, "seed": args.seed, "engine": args.engine,
         "table": [{"metric": m, "empirical": None if math.isnan(e) else e, "analytic": a}
-                  for m, e, a in rows],
+                  for m, e, a in zip(metrics, empirical.tolist(), analytic.tolist())],
     }
-    return {"columns": ["metric", "empirical", "analytic"], "rows": rows,
-            "json": payload}
 
 
-def _cmd_sweep_eta(args) -> dict:
+def _cmd_sweep_eta(args):
     chain = analytics.solve_chain(args.R)  # one solve for the grid and the argmin
-    grid = np.linspace(0.0, 1.0, args.steps)
-    columns = (grid, analytics.delay_rate(args.R, grid), chain.sigma_T_sq(grid))
-    rows = [row + ["grid"] for row in np.column_stack(columns).tolist()]
-    eta_star, var_star = chain.argmin()
-    rows.append([eta_star, analytics.delay_rate(args.R, eta_star), var_star, "argmin"])
-    point = lambda r: {"eta": r[0], "delay_rate": r[1], "sigma_T_sq": r[2]}
-    payload = {
-        "R": args.R,
-        "steps": args.steps,
-        "grid": [point(r) for r in rows[:-1]],
-        "argmin": point(rows[-1]),
-    }
-    return {"columns": ["eta", "delay_rate", "sigma_T_sq", "kind"], "rows": rows,
-            "json": payload}
+    eta = np.append(np.linspace(0.0, 1.0, args.steps), chain.argmin()[0])
+    columns = [eta, analytics.delay_rate(args.R, eta), chain.sigma_T_sq(eta)]
+    if args.output_format == "csv":
+        return (["eta", "delay_rate", "sigma_T_sq", "kind"],
+                [*columns, ["grid"] * args.steps + ["argmin"]])
+    points = [{"eta": e, "delay_rate": d, "sigma_T_sq": s}
+              for e, d, s in zip(*(c.tolist() for c in columns))]
+    return {"R": args.R, "steps": args.steps, "grid": points[:-1], "argmin": points[-1]}
 
 
 _COMMANDS = {
@@ -344,12 +322,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _validate(args, parser)
     try:
-        dataset = _COMMANDS[args.command](args)
+        result = _COMMANDS[args.command](args)
     except (NonTerminationError, gf.TruncationInsufficientError,
             EngineMismatchError, DegenerateInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE_ERROR
-    emit(dataset, args.output_format, args.out)
+    emit(result, args.out)
     return 0
 
 

@@ -210,7 +210,8 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     holding time) per hop, so the variance needs no E[T^2] - E[T]^2.  Mass
     moves to size u' as a suffix sum over u >= R - u' + 1; only sizes u <= n
     and the live band of coverage rows are kept: a step costs O(min(R, n) *
-    band), band <= n.  Entry m of the pmf is P[hop count = m].
+    band), band <= n.  Entry m of the pmf is P[hop count = m], m = 0 ..
+    max_hops(R, n).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -246,7 +247,9 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     shift = kappa * np.arange(len(pmf))  # T = X + kappa * m on {hop count = m}
     mean = (x1 + shift * pmf).sum() / pmf.sum()
     d = shift - mean
-    return pmf, mean, (x2 + 2.0 * d * x1 + d * d * pmf).sum() / pmf.sum()
+    variance = (x2 + 2.0 * d * x1 + d * d * pmf).sum() / pmf.sum()
+    # the pass stops once the live mass underflows to 0.0; the rest are zeros
+    return np.pad(pmf, (0, max_hops(R, n) + 1 - len(pmf))), mean, variance
 
 
 def dp_cost(R: int, n: int) -> tuple[int, int]:

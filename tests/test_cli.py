@@ -74,13 +74,18 @@ class TestExactAndGF:
         assert a["variance"] == pytest.approx(b["variance"], rel=1e-9)
         assert list(a)[:5] == ["n", "R", "eta", "mean", "variance"]
 
-    @pytest.mark.parametrize("R, n", [(1, 1), (3, 3), (5, 20), (2, 13)])
+    @pytest.mark.parametrize("R, n", [(1, 1), (3, 3), (5, 20), (2, 13), (5, 3000), (2, 3250)])
     def test_gf_and_exact_pmfs_end_at_the_largest_hop_count(self, capsys, R, n):
         argv = ("--R", str(R), "--n", str(n), "--format", "json")
-        _, gf_out, _ = run_cli(capsys, "gf", *argv)
         _, dp_out, _ = run_cli(capsys, "exact", *argv)
-        pmf, dp_pmf = json.loads(gf_out)["pmf"], json.loads(dp_out)["pmf"]
-        assert len(pmf) == len(dp_pmf) == gf.max_hops(R, n) + 1
+        dp_pmf = json.loads(dp_out)["pmf"]
+        assert len(dp_pmf) == gf.max_hops(R, n) + 1
+        if n >= 3000:  # the DP's tail underflows to 0.0, and gf refuses the size
+            assert dp_pmf[-1] == 0.0
+            return
+        _, gf_out, _ = run_cli(capsys, "gf", *argv)
+        pmf = json.loads(gf_out)["pmf"]
+        assert len(pmf) == len(dp_pmf)
         assert pmf[-1] > 0.0
         assert [p == 0.0 for p in pmf] == [p == 0.0 for p in dp_pmf]
 
@@ -178,20 +183,21 @@ class TestSimulate:
             assert code == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_samples_parse_back_bit_exactly(self, capsys):
+    @pytest.mark.parametrize("reps", [20, cli.CSV_BLOCK + 3])  # within and across blocks
+    def test_csv_samples_parse_back_bit_exactly(self, capsys, reps):
         args = ("simulate", "--R", "4", "--n", "30", "--eta", "0.25",
-                "--reps", "20", "--seed", "3")
+                "--reps", str(reps), "--seed", "3")
         _, csv_out, _ = run_cli(capsys, *args)
         _, json_out, _ = run_cli(capsys, *args, "--format", "json")
         header, *lines = csv_out.strip().split("\n")
         assert header == "rep,H,T"
         rows = [line.split(",") for line in lines]
-        assert [int(r[0]) for r in rows] == list(range(20))
+        assert [int(r[0]) for r in rows] == list(range(reps))
         data = json.loads(json_out)
         assert [int(r[1]) for r in rows] == data["H"]
         assert [float(r[2]) for r in rows] == data["T"]
         ss = monte_carlo(TrickleParams(eta=0.25), LineTopology(n=30, R=4),
-                         reps=20, seed=3, engine="renewal")
+                         reps=reps, seed=3, engine="renewal")
         assert data["H"] == ss.h_samples.tolist()
         assert data["T"] == ss.t_samples.tolist()
 
@@ -251,6 +257,56 @@ class TestSweepEta:
         assert abs(data["argmin"]["eta"] - 0.26) <= 0.03
 
 
+def cell(value) -> str:
+    """The CSV text of a JSON value: null stands for nan."""
+    return "nan" if value is None else str(value)
+
+
+@pytest.mark.parametrize("argv, json_rows", [
+    (("analyze", "--R", "5", "--eta", "0.3"),
+     lambda d: [[cell(v) for k, v in d.items() if k not in ("Z", "M")]]),
+    (("exact", "--R", "4", "--n", "20", "--eta", "0.7"),
+     lambda d: [[str(m), cell(p)] for m, p in enumerate(d["pmf"])]),
+    (("gf", "--R", "3", "--n", "9", "--eta", "0.25"),   # the JSON has no dp_probability
+     lambda d: [[str(m), cell(p)] for m, p in enumerate(d["pmf"])]),
+    (("compare", "--R", "5", "--n", "100", "--reps", "500", "--seed", "2"),
+     lambda d: [[r["metric"], cell(r["empirical"]), cell(r["analytic"])] for r in d["table"]]),
+    (("compare", "--R", "1", "--n", "5", "--reps", "10", "--eta", "1"),  # ks_T: nan, null
+     lambda d: [[r["metric"], cell(r["empirical"]), cell(r["analytic"])] for r in d["table"]]),
+    (("sweep-eta", "--R", "5", "--steps", str(cli.CSV_BLOCK + 5)),      # across blocks
+     lambda d: [[cell(p["eta"]), cell(p["delay_rate"]), cell(p["sigma_T_sq"]), kind]
+                for p, kind in [(p, "grid") for p in d["grid"]] + [(d["argmin"], "argmin")]]),
+], ids=["analyze", "exact", "gf", "compare", "compare-zero-spread", "sweep-eta"])
+def test_csv_and_json_carry_bit_identical_values(capsys, argv, json_rows):
+    _, csv_out, _ = run_cli(capsys, *argv)
+    _, json_out, _ = run_cli(capsys, *argv, "--format", "json")
+    header, *rows = [line.split(",") for line in csv_out.strip().split("\n")]
+    expected = json_rows(json.loads(json_out))
+    assert [row[:len(expected[0])] for row in rows] == expected
+    if argv[0] == "analyze":
+        assert header == [k for k in json.loads(json_out) if k not in ("Z", "M")]
+
+
+def test_cached_parser_carries_nothing_between_queries(capsys, monkeypatch):
+    # a refused query that sets every flag the valid one leaves at its default
+    monkeypatch.delenv("TRICKLE_LAB_SEED", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--R", "3", "--n", "10", "--reps", "0", "--eta", "0.9",
+              "--seed", "4", "--engine", "protocol", "--k", "2", "--tau-h", "8",
+              "--format", "json", "--out", os.devnull])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["simulate", "--R", "3", "--n", "10", "--reps", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "TRICKLE_LAB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run([sys.executable, "-m", "tricklelab.cli", *argv], env=env,
+                           capture_output=True, text=True, check=True)
+    assert out == fresh.stdout
+
+
 class TestValidation:
     @pytest.mark.parametrize("argv", [
         ("analyze", "--R", "0"),
@@ -282,6 +338,11 @@ class TestValidation:
         ("analyze", "--R", "30000"),
         ("sweep-eta", "--R", "3", "--steps", "10000000000000"),    # grid over gf.MAX_CELLS
         ("sweep-eta", "--R", "5", "--steps", "100000"),
+        ("compare", "--R", "3", "--n", "10", "--reps", "10000000000000"),
+        ("simulate", "--R", "5", "--n", "250", "--reps", "2500000"),           # over gf.MAX_WORK
+        ("simulate", "--R", "5", "--n", "250", "--reps", "340000", "--format", "json"),  # cells
+        ("simulate", "--R", "5", "--n", "2000000", "--reps", "1"),             # lockstep steps
+        ("simulate", "--R", "3", "--n", "10", "--reps", "10000000000000", "--engine", "protocol"),
     ])
     def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
         # leading NAME=value items set environment variables
@@ -319,6 +380,31 @@ class TestValidation:
                 main(argv)
             assert exc.value.code == 2
             assert "over the limit" in capsys.readouterr().err
+
+    def test_oversized_sampling_is_refused_before_it_starts(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("an oversized query reached the sampler")
+        monkeypatch.setattr(cli, "monte_carlo", unreachable)
+        for argv in (["simulate", "--R", "3", "--n", "10", "--reps", "10000000000000"],
+                     ["compare", "--R", "5", "--n", "250", "--reps", "1000000"],
+                     ["simulate", "--R", "5", "--n", "250", "--reps", "1000000",
+                      "--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "over the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--R", "5", "--n", "250", "--reps", "1000000"),  # flat CSV memory
+        ("simulate", "--R", "5", "--n", "250", "--reps", "100000"),   # the README's
+        ("compare", "--R", "30", "--n", "250", "--reps", "10000"),    # the benchmark's
+        ("simulate", "--R", "30", "--n", "250", "--reps", "10000", "--format", "json"),
+        ("simulate", "--R", "5", "--n", "100", "--reps", "400", "--engine", "protocol"),
+        ("simulate", "--R", "1", "--n", "200000", "--reps", "1"),
+    ])
+    def test_sampling_limits_admit_the_queries_in_use(self, argv):
+        parser = cli.build_parser()
+        cli._validate(parser.parse_args(argv), parser)  # raises SystemExit if refused
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--R", "500"),                  # the largest R admitted
@@ -464,9 +550,6 @@ def test_fuzzed_invalid_sampling_flags_exit_2(command, broken):
     assert exit_code(argv) == 2, argv
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "simulate holds every sample in memory, so a huge --reps fails to allocate "
-    "and exits 1; see the bounded-memory item of ROADMAP.md"))
 def test_huge_reps_exits_0_2_or_3():
     # in a child whose address space is capped, so that the allocation fails
     # the same way wherever memory is overcommitted

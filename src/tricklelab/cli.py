@@ -136,13 +136,19 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     if args.command in ("analyze", "compare", "sweep-eta"):
         costs.append(analytics.solve_cost(args.R))
     if args.command == "sweep-eta":
-        # a grid point takes about 1.1 kB as JSON dicts and text
-        costs.append((0, 160 * args.steps))
+        # a grid point takes about 1.1 kB as JSON dicts and text, and 37-43 B
+        # of peak memory as CSV columns, charged 72 B
+        costs.append((0, (9 if args.output_format == "csv" else 160) * args.steps))
     if args.command in ("simulate", "compare"):
         # peak memory per replication, measured at R = 5, n = 250: 16 B for
         # CSV simulate, 240 B for JSON simulate and 80 B for compare
         per_rep = 10 if args.command == "compare" else 2 if args.output_format == "csv" else 30
         costs.append((0, per_rep * args.reps))
+        if args.engine == "protocol":
+            # one event's node arrays, epochs, update times and queue: 357 B
+            # of peak memory per node at R = 30, k = 1 (each broadcast adds
+            # about 120 B, a count bounded only by the event's time)
+            costs.append((0, 45 * (args.n + 1)))
         if args.engine == "renewal":
             # a lane-step takes 10-23 ns and a block's lockstep step 7-22 us,
             # by machine load: about 5 and 4000 updates

@@ -11,10 +11,13 @@ period at tau = tau_l: the broadcast offset is drawn uniformly from
 algorithm; eta = 0 lets freshly updated nodes rebroadcast immediately.
 Intervals at tau > tau_l always keep the original [tau / 2, tau] window.
 
-All transitions are pure: they take a NodeState and return a new one, and
-randomness comes from an injected stream (anything with a ``uniform(a, b)``
-method, e.g. random.Random or numpy Generator).  Drivers own scheduling; see
-the event loop in :mod:`tricklelab.simulate`.
+The state of a line of nodes is a struct of arrays (`NodeState`, one list
+per field, one entry per node).  A transition updates entry j in place and
+returns only what the event loop needs.  Randomness comes from an injected
+stream with a ``random()`` method (e.g. random.Random or numpy Generator):
+an offset on [lo, hi] is ``lo + (hi - lo) * random()``, the value that
+random.Random.uniform(lo, hi) returns.  Drivers own scheduling; see the
+event loop in :mod:`tricklelab.simulate`.
 """
 
 from __future__ import annotations
@@ -50,17 +53,14 @@ class TrickleParams:
 
 @dataclass(slots=True)
 class NodeState:
-    """Per-node runtime state.
+    """Runtime state of every node of a line: entry j of each list is node j's."""
 
-    Treated as immutable: transition functions return fresh instances.
-    """
-
-    tau: float
-    c: int
-    t: float
-    interval_start: float
-    version: int
-    has_fired: bool
+    tau: list[float]
+    c: list[int]
+    t: list[float]
+    interval_start: list[float]
+    version: list[int]
+    has_fired: list[bool]
 
 
 class Reaction(Enum):
@@ -69,6 +69,7 @@ class Reaction(Enum):
     CONSISTENT_HEARD = "consistent_heard"
     ADOPTED_UPDATE = "adopted_update"
     INCONSISTENCY_RESET = "inconsistency_reset"
+    STALE_IGNORED = "stale_ignored"
 
 
 # Module-level aliases: attribute access on an Enum class costs far more than
@@ -76,92 +77,78 @@ class Reaction(Enum):
 _CONSISTENT = Reaction.CONSISTENT_HEARD
 _ADOPTED = Reaction.ADOPTED_UPDATE
 _RESET = Reaction.INCONSISTENCY_RESET
+_STALE = Reaction.STALE_IGNORED
 
 
-def quiet_state(params: TrickleParams) -> NodeState:
-    """State of a node idling at tau = tau_h that has not seen any update."""
-    return NodeState(
-        tau=params.tau_h,
-        c=0,
-        t=params.tau_h,
-        interval_start=0.0,
-        version=0,
-        has_fired=False,
-    )
+def quiet_state(params: TrickleParams, size: int) -> NodeState:
+    """State of `size` nodes idling at tau = tau_h that have not seen any update."""
+    tau_h = params.tau_h
+    return NodeState([tau_h] * size, [0] * size, [tau_h] * size, [0.0] * size,
+                     [0] * size, [False] * size)
 
 
-def start_interval(state: NodeState, params: TrickleParams, now: float, rng) -> NodeState:
-    """Begin a new interval at `now`: reset c, redraw the broadcast offset.
+def start_interval(s: NodeState, j: int, params: TrickleParams, now: float, rng) -> float:
+    """Begin node j's new interval at `now`: reset c, redraw and return the
+    broadcast offset t.
 
     The offset window is [eta * tau, tau] when tau == tau_l and
     [tau / 2, tau] otherwise.
     """
-    return _fresh_interval(state.tau, state.version, params, now, rng)
-
-
-def _fresh_interval(tau: float, version: int, params: TrickleParams, now: float,
-                    rng) -> NodeState:
+    tau = s.tau[j]
     lo = params.eta * tau if tau == params.tau_l else 0.5 * tau
-    return NodeState(tau, 0, rng.uniform(lo, tau), now, version, False)
+    t = lo + (tau - lo) * rng.random()
+    s.c[j] = 0
+    s.t[j] = t
+    s.interval_start[j] = now
+    s.has_fired[j] = False
+    return t
 
 
-def on_message(
-    state: NodeState, params: TrickleParams, msg_version: int
-) -> tuple[NodeState, Reaction]:
-    """Process a received message carrying version `msg_version`.
+def on_message(s: NodeState, j: int, params: TrickleParams, msg_version: int) -> Reaction:
+    """Node j receives a message carrying version `msg_version`.
 
     Consistent (equal version): increment c.  Newer version: adopt it and
-    drop tau to tau_l; the caller must then start a new interval (see
-    `needs_new_interval`).  Older version: drop tau to tau_l if currently
-    above it (new interval required), otherwise no-op.
+    drop tau to tau_l.  Older version: drop tau to tau_l if currently above
+    it (INCONSISTENCY_RESET), otherwise ignore it (STALE_IGNORED).  After an
+    adoption or a reset the caller must start a new interval (see
+    `needs_new_interval`).
     """
-    version = state.version
+    version = s.version[j]
     if msg_version == version:
-        return (
-            NodeState(state.tau, state.c + 1, state.t, state.interval_start,
-                      version, state.has_fired),
-            _CONSISTENT,
-        )
+        s.c[j] += 1
+        return _CONSISTENT
     if msg_version > version:
-        return (
-            NodeState(params.tau_l, state.c, state.t, state.interval_start,
-                      msg_version, state.has_fired),
-            _ADOPTED,
-        )
+        s.version[j] = msg_version
+        s.tau[j] = params.tau_l
+        return _ADOPTED
     # Heard stale data: rebroadcast soon if we had slowed down.
-    if state.tau > params.tau_l:
-        return (
-            NodeState(params.tau_l, state.c, state.t, state.interval_start,
-                      version, state.has_fired),
-            _RESET,
-        )
-    return state, _RESET
+    if s.tau[j] > params.tau_l:
+        s.tau[j] = params.tau_l
+        return _RESET
+    return _STALE
 
 
-def needs_new_interval(old: NodeState, params: TrickleParams, reaction: Reaction) -> bool:
-    """Whether the reaction returned by `on_message` requires a fresh interval.
-
-    Adoption always resynchronizes (even at tau == tau_l); a reset only does
-    when tau actually dropped.
-    """
-    if reaction is _CONSISTENT:
-        return False
-    return reaction is _ADOPTED or old.tau > params.tau_l
+def needs_new_interval(reaction: Reaction) -> bool:
+    """Whether the reaction returned by `on_message` requires a fresh interval:
+    adoption always resynchronizes (even at tau == tau_l), a reset is returned
+    only when tau actually dropped."""
+    return reaction is _ADOPTED or reaction is _RESET
 
 
-def on_timer(state: NodeState, params: TrickleParams) -> tuple[NodeState, int | None]:
-    """Fire the broadcast timer: transmit the node's version iff fewer than k
-    messages were heard, else return None."""
-    fired = NodeState(state.tau, state.c, state.t, state.interval_start,
-                      state.version, True)
-    if state.c < params.k:
-        return fired, state.version
-    return fired, None
+def on_timer(s: NodeState, j: int, params: TrickleParams) -> tuple[float, int | None]:
+    """Fire node j's broadcast timer.  Returns the end time of its interval
+    and the version it transmits: its own iff fewer than k messages were
+    heard, else None."""
+    s.has_fired[j] = True
+    end = s.interval_start[j] + s.tau[j]
+    if s.c[j] < params.k:
+        return end, s.version[j]
+    return end, None
 
 
-def on_interval_end(state: NodeState, params: TrickleParams, now: float, rng) -> NodeState:
-    """Double tau (capped at tau_h) and start the next interval."""
-    tau = 2.0 * state.tau
-    if tau > params.tau_h:
-        tau = params.tau_h
-    return _fresh_interval(tau, state.version, params, now, rng)
+def on_interval_end(s: NodeState, j: int, params: TrickleParams, now: float, rng) -> float:
+    """Double node j's tau (capped at tau_h) and start its next interval;
+    returns the new broadcast offset."""
+    tau = 2.0 * s.tau[j]
+    s.tau[j] = tau if tau <= params.tau_h else params.tau_h
+    return start_interval(s, j, params, now, rng)

@@ -25,8 +25,11 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+# perfbench/tracer.py wraps these names where the event loop looks them up,
+# in this module's namespace: keep them here (needs_new_interval too, whose
+# test the loop inlines), with one call per delivery, timer, restart and
+# interval end.
 from .core import (
-    NodeState,
     Reaction,
     TAU_INFINITE,
     TrickleParams,
@@ -134,40 +137,32 @@ def run_protocol_event(
     rnd = rng if rng is not None else replication_stream(seed, 0)
 
     inf = math.inf
-    states: list[NodeState] = [quiet_state(params)] * (n + 1)
+    s = quiet_state(params, n + 1)
     epochs = [0] * (n + 1)
     heap: list[tuple[float, int, int, int]] = []
     push, pop = heappush, heappop
-    adopted = Reaction.ADOPTED_UPDATE
+    adopted, reset = Reaction.ADOPTED_UPDATE, Reaction.INCONSISTENCY_RESET
 
     # An interval's end is queued only once its timer has fired: it never
     # precedes the timer (t <= tau, and kind breaks the tie), and a restart
-    # before the timer fires would make it stale anyway.  Inside the loop a
-    # fresh interval (finite tau, timer not fired) queues just its timer.
-    def schedule(j: int, st: NodeState) -> None:
-        if st.tau == TAU_INFINITE:
-            return
-        if st.has_fired:
-            push(heap, (st.interval_start + st.tau, j, _KIND_INTERVAL_END, epochs[j]))
-        else:
-            push(heap, (st.interval_start + st.t, j, _KIND_TIMER, epochs[j]))
+    # before the timer fires would make it stale anyway.  So a fresh interval
+    # queues just its timer.
 
     # Node 0: freshly updated at time 0.
-    seed_state = NodeState(tau=params.tau_l, c=0, t=0.0, interval_start=0.0,
-                           version=1, has_fired=False)
-    states[0] = start_interval(seed_state, params, 0.0, rnd)
-    schedule(0, states[0])
+    s.tau[0] = params.tau_l
+    s.version[0] = 1
+    push(heap, (start_interval(s, 0, params, 0.0, rnd), 0, _KIND_TIMER, 0))
 
     if params.tau_h != TAU_INFINITE:
         # Idle nodes sit mid-interval at tau_h with arbitrary phase.
         for j in range(1, n + 1):
-            phase = rnd.uniform(0.0, params.tau_h)
-            st = start_interval(states[j], params, -phase, rnd)
-            if st.t < phase:  # its broadcast offset already passed
-                st = NodeState(st.tau, st.c, st.t, st.interval_start,
-                               st.version, True)
-            states[j] = st
-            schedule(j, st)
+            phase = params.tau_h * rnd.random()  # rnd.uniform(0.0, tau_h)
+            t = start_interval(s, j, params, -phase, rnd)
+            if t < phase:  # its broadcast offset already passed
+                s.has_fired[j] = True
+                push(heap, (-phase + s.tau[j], j, _KIND_INTERVAL_END, 0))
+            else:
+                push(heap, (-phase + t, j, _KIND_TIMER, 0))
 
     update_time = [inf] * (n + 1)
     update_time[0] = 0.0
@@ -185,34 +180,30 @@ def run_protocol_event(
                 f"updated (k={params.k}, tau_h={params.tau_h}, R={R}, n={n})"
             )
         if kind == _KIND_TIMER:
-            st, version = on_timer(states[node], params)
-            states[node] = st
-            push(heap, (st.interval_start + st.tau, node, _KIND_INTERVAL_END, ep))
+            end, version = on_timer(s, node, params)
+            push(heap, (end, node, _KIND_INTERVAL_END, ep))
             if version is None:
                 continue
             updated = 0
             for j in topo.receivers(node):
                 if j == node:
                     continue
-                old = states[j]
-                new_state, reaction = on_message(old, params, version)
-                if needs_new_interval(old, params, reaction):
+                reaction = on_message(s, j, params, version)
+                if reaction is adopted or reaction is reset:  # needs_new_interval(reaction)
                     epochs[j] += 1
-                    new_state = start_interval(new_state, params, now, rnd)
-                    push(heap, (now + new_state.t, j, _KIND_TIMER, epochs[j]))
-                states[j] = new_state
-                if reaction is adopted:
-                    updated += 1
-                    update_time[j] = now
+                    push(heap, (now + start_interval(s, j, params, now, rnd), j,
+                                _KIND_TIMER, epochs[j]))
+                    if reaction is adopted:
+                        updated += 1
+                        update_time[j] = now
             broadcasts.append((now, node, updated))
             if updated:
                 hop_count += 1
             if update_time[n] < inf:
                 break
         else:
-            st = on_interval_end(states[node], params, now, rnd)
-            states[node] = st
-            push(heap, (now + st.t, node, _KIND_TIMER, ep))
+            push(heap, (now + on_interval_end(s, node, params, now, rnd), node,
+                        _KIND_TIMER, ep))
 
     if update_time[n] == inf:
         raise NonTerminationError("event queue drained before node n updated")

@@ -4,17 +4,26 @@ They take the long way round on purpose: a balance-equation solve instead
 of the closed-form stationary law, chain-power sums and per-eta matrix
 products instead of the closed forms and the eta-free quadratic in
 tricklelab.analytics, a simulated stationary chain instead of the exact
-variance rate, and a rational sum over every path instead of the exact-law
-dynamic program.
+variance rate, a rational sum over every path instead of the exact-law
+dynamic program, and a protocol event loop that keeps one immutable state
+object per node instead of the library's per-field arrays.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 
 import numpy as np
 
 from tricklelab import analytics as an
-from tricklelab.simulate import PropagationTrace, replication_stream
+from tricklelab.core import TAU_INFINITE, TrickleParams
+from tricklelab.simulate import (
+    LineTopology,
+    NonTerminationError,
+    PropagationTrace,
+    replication_stream,
+)
 
 
 @dataclass
@@ -201,3 +210,117 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
 
     walk(1, 0, 0, Fraction(1), Fraction(0), Fraction(0))
     return pmf, moments[0], moments[1] - moments[0] ** 2
+
+
+# --- the protocol engine with one immutable state object per node -------------
+
+
+@dataclass(frozen=True, slots=True)
+class ReferenceNode:
+    """One node's Trickle state; every transition returns a new one."""
+
+    tau: float
+    c: int
+    t: float
+    interval_start: float
+    version: int
+    has_fired: bool
+
+
+def _fresh_interval(tau, version, params, now, rng) -> ReferenceNode:
+    lo = params.eta * tau if tau == params.tau_l else 0.5 * tau
+    return ReferenceNode(tau, 0, rng.uniform(lo, tau), now, version, False)
+
+
+def _on_message(node: ReferenceNode, params: TrickleParams, msg_version: int):
+    """(new node, adopted, needs a new interval) after hearing msg_version."""
+    if msg_version == node.version:
+        return ReferenceNode(node.tau, node.c + 1, node.t, node.interval_start,
+                             node.version, node.has_fired), False, False
+    if msg_version > node.version:
+        return ReferenceNode(params.tau_l, node.c, node.t, node.interval_start,
+                             msg_version, node.has_fired), True, True
+    if node.tau > params.tau_l:
+        return ReferenceNode(params.tau_l, node.c, node.t, node.interval_start,
+                             node.version, node.has_fired), False, True
+    return node, False, False
+
+
+def reference_protocol_event(params: TrickleParams, topo: LineTopology,
+                             seed: int = 0) -> PropagationTrace:
+    """run_protocol_event(params, topo, seed) the long way: the same rules,
+    random draws (through rng.uniform) and (time, node, kind) tie-breaking,
+    on a list of ReferenceNode objects."""
+    n, R = topo.n, topo.R
+    horizon = 10.0 * n * params.tau_l
+    rnd = replication_stream(seed, 0)
+    TIMER, END = 0, 1
+    nodes = [ReferenceNode(params.tau_h, 0, params.tau_h, 0.0, 0, False)] * (n + 1)
+    epochs = [0] * (n + 1)
+    heap: list = []
+
+    def schedule(j: int) -> None:
+        st = nodes[j]
+        if st.tau == TAU_INFINITE:
+            return
+        if st.has_fired:
+            heappush(heap, (st.interval_start + st.tau, j, END, epochs[j]))
+        else:
+            heappush(heap, (st.interval_start + st.t, j, TIMER, epochs[j]))
+
+    nodes[0] = _fresh_interval(params.tau_l, 1, params, 0.0, rnd)
+    schedule(0)
+    if params.tau_h != TAU_INFINITE:
+        for j in range(1, n + 1):
+            phase = rnd.uniform(0.0, params.tau_h)
+            st = _fresh_interval(nodes[j].tau, nodes[j].version, params, -phase, rnd)
+            if st.t < phase:
+                st = ReferenceNode(st.tau, st.c, st.t, st.interval_start, st.version, True)
+            nodes[j] = st
+            schedule(j)
+
+    update_time = [math.inf] * (n + 1)
+    update_time[0] = 0.0
+    broadcasts = []
+    hop_count = 0
+    while heap:
+        now, node, kind, ep = heappop(heap)
+        if ep != epochs[node]:
+            continue
+        if now > horizon:
+            done = sum(1 for t in update_time if t < math.inf)
+            raise NonTerminationError(
+                f"no full propagation by t={horizon:g}: {done}/{n + 1} nodes "
+                f"updated (k={params.k}, tau_h={params.tau_h}, R={R}, n={n})"
+            )
+        st = nodes[node]
+        if kind == END:
+            tau = min(2.0 * st.tau, params.tau_h)
+            nodes[node] = _fresh_interval(tau, st.version, params, now, rnd)
+            heappush(heap, (now + nodes[node].t, node, TIMER, ep))
+            continue
+        nodes[node] = ReferenceNode(st.tau, st.c, st.t, st.interval_start, st.version, True)
+        heappush(heap, (st.interval_start + st.tau, node, END, ep))
+        if st.c >= params.k:
+            continue
+        updated = 0
+        for j in range(max(node - R, 0), min(node + R, n) + 1):
+            if j == node:
+                continue
+            new, adopted, restart = _on_message(nodes[j], params, st.version)
+            if restart:
+                epochs[j] += 1
+                new = _fresh_interval(new.tau, new.version, params, now, rnd)
+                heappush(heap, (now + new.t, j, TIMER, epochs[j]))
+            nodes[j] = new
+            if adopted:
+                updated += 1
+                update_time[j] = now
+        broadcasts.append((now, node, updated))
+        hop_count += updated > 0
+        if update_time[n] < math.inf:
+            break
+    if update_time[n] == math.inf:
+        raise NonTerminationError("event queue drained before node n updated")
+    return PropagationTrace(update_time, broadcasts, hop_count, update_time[n],
+                            len(broadcasts))

@@ -256,6 +256,16 @@ class TestSweepEta:
         assert len(data["grid"]) == 51
         assert abs(data["argmin"]["eta"] - 0.26) <= 0.03
 
+    def test_grid_limit_is_charged_by_output_format(self, capsys):
+        # CSV columns take tens of bytes a point, JSON dicts and text about 1.1 kB
+        code, out, _ = run_cli(capsys, "sweep-eta", "--R", "5", "--steps", "100000")
+        assert code == 0
+        assert out.count("\n") == 1 + 100_001  # header, grid points, argmin
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep-eta", "--R", "5", "--steps", "100000", "--format", "json"])
+        assert exc.value.code == 2
+        assert "over the limit" in capsys.readouterr().err
+
 
 def cell(value) -> str:
     """The CSV text of a JSON value: null stands for nan."""
@@ -337,12 +347,13 @@ class TestValidation:
         ("compare", "--R", "501", "--n", "5", "--reps", "2"),
         ("analyze", "--R", "30000"),
         ("sweep-eta", "--R", "3", "--steps", "10000000000000"),    # grid over gf.MAX_CELLS
-        ("sweep-eta", "--R", "5", "--steps", "100000"),
+        ("sweep-eta", "--R", "5", "--steps", "100000", "--format", "json"),
         ("compare", "--R", "3", "--n", "10", "--reps", "10000000000000"),
         ("simulate", "--R", "5", "--n", "250", "--reps", "2500000"),           # over gf.MAX_WORK
         ("simulate", "--R", "5", "--n", "250", "--reps", "340000", "--format", "json"),  # cells
         ("simulate", "--R", "5", "--n", "2000000", "--reps", "1"),             # lockstep steps
         ("simulate", "--R", "3", "--n", "10", "--reps", "10000000000000", "--engine", "protocol"),
+        ("simulate", "--R", "5", "--n", "1000000000", "--reps", "1", "--engine", "protocol"),
     ])
     def test_flag_errors_exit_2(self, capsys, monkeypatch, argv):
         # leading NAME=value items set environment variables
@@ -388,7 +399,9 @@ class TestValidation:
         for argv in (["simulate", "--R", "3", "--n", "10", "--reps", "10000000000000"],
                      ["compare", "--R", "5", "--n", "250", "--reps", "1000000"],
                      ["simulate", "--R", "5", "--n", "250", "--reps", "1000000",
-                      "--format", "json"]):
+                      "--format", "json"],
+                     ["simulate", "--R", "5", "--n", "1000000000", "--reps", "1",
+                      "--engine", "protocol"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -550,17 +563,63 @@ def test_fuzzed_invalid_sampling_flags_exit_2(command, broken):
     assert exit_code(argv) == 2, argv
 
 
-def test_huge_reps_exits_0_2_or_3():
-    # in a child whose address space is capped, so that the allocation fails
-    # the same way wherever memory is overcommitted
+def run_capped(*argv):
+    """main(argv) in a child whose address space is capped at 2 GiB, so that
+    an allocation fails the same way wherever memory is overcommitted."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = ("import resource, sys; "
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
               "from tricklelab.cli import main; "
-              "sys.exit(main(['simulate', '--R', '3', '--n', '10', "
-              "'--reps', '10000000000000', '--out', sys.argv[1]]))")
-    result = subprocess.run([sys.executable, "-c", script, os.devnull], env=env,
-                            capture_output=True, text=True, timeout=120)
+              "sys.exit(main(sys.argv[1:] + ['--out', __import__('os').devnull]))")
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_huge_reps_exits_0_2_or_3():
+    result = run_capped("simulate", "--R", "3", "--n", "10", "--reps", "10000000000000")
     assert result.returncode in (0, 2, 3), result.stderr[-500:]
+
+
+def test_huge_protocol_line_exits_2():
+    # the node arrays of n + 1 = 1e9 nodes would not fit under the cap
+    result = run_capped("simulate", "--engine", "protocol", "--R", "5",
+                        "--n", "1000000000", "--reps", "1")
+    assert result.returncode == 2, result.stderr[-500:]
+    assert "over the limit" in result.stderr and "Traceback" not in result.stderr
+
+
+@st.composite
+def valid_sampling_query(draw):
+    """simulate or compare with every flag in its valid range; the protocol
+    engine's time grows with n and reps, so both stay small there."""
+    command = draw(st.sampled_from(["simulate", "compare"]))
+    engine = draw(st.sampled_from(["renewal", "protocol"]))
+    small = engine == "protocol"
+    # mostly the paper's model (k = 1, unbounded tau_h), which every
+    # command and engine takes
+    paper = draw(st.sampled_from([True, True, False]))
+    flags = {
+        "--R": draw(st.integers(1, 40)),
+        "--n": draw(st.integers(1, 200) if small else st.integers(1, 3000) | st.integers(1, 12)),
+        "--reps": draw(st.integers(2 if command == "compare" else 1, 20 if small else 3000)),
+        "--eta": draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        "--seed": draw(st.integers(0, 2**64)),
+        "--k": 1 if paper else draw(st.sampled_from([1, 2, 3, 5])),
+        "--tau-h": "inf" if paper else draw(st.sampled_from(["inf", "1", "2", "4", "16", "1e300"])
+                                            | st.floats(1.0, 64.0)),
+        "--engine": engine,
+        "--format": draw(st.sampled_from(["csv", "json"])),
+    }
+    return [command, "--out", os.devnull] + [str(x) for kv in flags.items() for x in kv]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(valid_sampling_query())
+def test_fuzzed_valid_sampling_flags_exit_0_2_or_3(argv):
+    # 2 for the combinations one engine or the analytic column cannot take
+    # (renewal with k > 1 or finite tau_h), 3 for a protocol event that does
+    # not finish within its horizon
+    assert exit_code(argv) in (0, 2, 3), argv

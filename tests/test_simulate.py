@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, norm
 
 from tricklelab import gf
@@ -20,7 +21,7 @@ from tricklelab.simulate import (
     sample_renewal_event,
 )
 
-from oracles import estimate_time_variance_rate, validate_wavefront
+from oracles import estimate_time_variance_rate, reference_protocol_event, validate_wavefront
 
 
 class TestTopology:
@@ -118,6 +119,26 @@ class TestProtocolEvent:
                             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == (
             "895c3f0e24f0747e59504a8a68b47b1713386801cd5e2f53e01b16c001b7ce72")
+
+
+def _trace_or_error(run, params, topo, seed):
+    try:
+        return run(params, topo, seed=seed).to_json()
+    except NonTerminationError as exc:
+        return f"NonTerminationError: {exc}"
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(R=st.integers(1, 6), n=st.integers(1, 30), k=st.integers(1, 3),
+       tau_h=st.sampled_from([math.inf, 1.0, 2.0, 4.0, 16.0]),
+       eta=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_traces_match_object_per_node_reference(R, n, k, tau_h, eta, seed):
+    # every rule branch: stale messages at and above tau_l, k > 1 suppression,
+    # tau_h = tau_l, n <= R
+    params, topo = TrickleParams(k=k, tau_h=tau_h, eta=eta), LineTopology(n=n, R=R)
+    assert (_trace_or_error(run_protocol_event, params, topo, seed)
+            == _trace_or_error(reference_protocol_event, params, topo, seed))
 
 
 def _renewal(R, n, eta, reps, seed):

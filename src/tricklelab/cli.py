@@ -128,6 +128,9 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error(f"--k must be >= 1, got {args.k}")
     if getattr(args, "steps", 2) < 2:
         parser.error(f"--steps must be >= 2, got {args.steps}")
+    if args.command == "gf" and args.n > gf.TRANSFORM_MAX_N:
+        parser.error(f"gf --n {args.n} is over the accuracy limit of {gf.TRANSFORM_MAX_N}: its "
+                     "delay variance E[T^2] - E[T]^2 cancels as n grows; use exact")
     costs = []
     if args.command in ("exact", "gf"):
         costs.append(gf.dp_cost(args.R, args.n))

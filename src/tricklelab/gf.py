@@ -4,21 +4,21 @@ Two independent routes to the same laws:
 
 * a transform route: the visit transforms of the update-size chain, one per
   state u, counting the visits to u by nodes covered and hops taken (or
-  elapsed time, as moment-series coefficients), solved as one linear system
-  over a truncated series ring and assembled into a master series whose
-  coefficients are P[hops = m at size n] (or the delay moment generating
-  function at size n);
+  elapsed time, as moment-series coefficients), solved by one forward pass
+  over node rows and assembled in a truncated series ring into a master
+  series whose coefficients are P[hops = m at size n] (or the delay moment
+  generating function at size n);
 * a dynamic-programming route: one forward pass over (last update size,
   nodes covered) that carries the probability and the first two moments of
   elapsed time together, yielding the hop pmf and the delay mean and
   variance at once; used as the accuracy oracle.  The mass reaching each
   next size is a suffix sum over the current sizes and only the live band
   of coverage rows is kept, so a step costs O(R * band), band <= n, and a
-  query O(n^2) in all; the transform route grows like R^2 n M^2, with
+  query O(n^2) in all; the transform route costs O(n min(R, n) M), with
   M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
 
-The command line refuses, before starting it, a query whose work or memory
-bound (dp_cost, transform_cost) exceeds MAX_WORK or MAX_CELLS.
+The command line refuses, before starting it, a query over MAX_WORK or
+MAX_CELLS (by dp_cost, transform_cost) and a gf query over TRANSFORM_MAX_N.
 
 Sizes n <= R take a single broadcast, so the hop law there is a point mass
 and the delay is one timer draw, uniform on [eta, 1].
@@ -30,7 +30,6 @@ import math
 
 import numpy as np
 
-from .analytics import transition_matrix
 # nothing here inverts a series; geometric stays importable as gf.geometric
 # because the benchmark tracer (perfbench/tracer.py) wraps it under that name
 from .series import TruncatedSeries, geometric  # noqa: F401
@@ -48,6 +47,11 @@ PMF_TAIL_TOL = 1e-12
 # A query over either limit is refused before it starts.
 MAX_WORK = 10**9
 MAX_CELLS = 10**7
+
+# The largest n the command line runs the transform route at: its delay
+# variance E[T^2] - E[T]^2 cancels as n grows, and up to here its relative
+# error against exact_law_dp over an 11-point eta grid is at most 2.4e-10.
+TRANSFORM_MAX_N = 519
 
 
 class TruncationInsufficientError(RuntimeError):
@@ -89,6 +93,10 @@ def max_hops(R: int, n: int) -> int:
 # event that the chain is in state u after m steps.  It solves
 #     V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]),
 # where step_i charges one transition out of state i on the second variable.
+# P[i,k] is 1/i for i >= R - k + 1 (else 0) and every term carries z^k,
+# k >= 1, so row a of V[k] (its z^a terms) is the suffix sum over those i of
+# step_i(row a - k of V[i]) / i: one forward pass over rows a = 0 .. n solves
+# it exactly.  V[k] is zero below row k, so only states k <= min(R, n) count.
 
 
 def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:
@@ -96,47 +104,51 @@ def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:
     return s.shifted((0, 1))
 
 
-def _delay_step(R: int, eta: float, order: int):
+def _delay_step(states: int, eta: float, order: int):
     """One transition out of state i + 1 in delay mode: the product with that
     state's holding-time moment series.  The series has only time terms, so
     the product is a sum of time shifts, one per moment."""
-    hold = [holding_series(j, eta, order) for j in range(1, R + 1)]
+    hold = [holding_series(j, eta, order) for j in range(1, states + 1)]
     return lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
 
 
-def _solve_visits(R, variables, degrees, sweeps, step) -> list[TruncatedSeries]:
-    """Jacobi sweeps of the visit system from zero; after t sweeps every path
-    of fewer than t steps is accounted for."""
-    P = transition_matrix(R)
-    zero = TruncatedSeries.zeros(variables, degrees)
-    visits = [zero] * R
-    for _ in range(sweeps):
-        stepped = [step(i, v) for i, v in enumerate(visits)]
-        visits = [
-            sum((P[i, k] * stepped[i] for i in range(R) if P[i, k]), zero).shifted((k + 1, 0))
-            for k in range(R)
-        ]
-        visits[0] = visits[0] + 1.0
-    return visits
+def _forward_pass(R, variables, node_degree, width, step) -> list[TruncatedSeries]:
+    """V[1..R] over rows 0 .. node_degree, one row at a time; step(block)
+    takes rows of the states i = 1 .. S = min(R, node_degree) to step_i(row)."""
+    S = min(R, node_degree)
+    inv = 1.0 / np.arange(1, S + 1)[:, None]
+    visits = np.zeros((R, node_degree + 1, width))
+    visits[0, 0, 0] = 1.0
+    # suffix[a S + j] sums step_i(row a of V[i]) / i over i > j, so row a of
+    # V[k] is suffix[(a - k) S + R - k], S + 1 apart for successive k
+    suffix = np.zeros(((node_degree + 1) * S, width))
+    lo = max(1, R - S + 1)  # the states k whose suffix starts at a size <= S
+    for a in range(node_degree + 1):
+        hi = min(a, S)
+        if hi >= lo:
+            first = (a - hi) * S + R - hi
+            visits[lo - 1:hi, a] = suffix[first:first + (hi - lo) * (S + 1) + 1:S + 1][::-1]
+        suffix[a * S:a * S + S] = np.cumsum((step(visits[:S, a]) * inv)[::-1], axis=0)[::-1]
+    return [TruncatedSeries(variables, v) for v in visits]
 
 
 def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[TruncatedSeries]:
-    """Visit transforms V[1..R] in hop mode, as (nodes, hops) series.
-
-    A path of m steps carries hop degree exactly m, and one that covers at
-    most node_degree nodes has m <= max_hops(R, node_degree), so
-    min(max_hops(R, node_degree), step_degree) + 1 sweeps reach the exact
-    truncated solution.
-    """
-    return _solve_visits(R, (NODE_VAR, HOP_VAR), (node_degree, step_degree),
-                         min(max_hops(R, node_degree), step_degree) + 1, _hop_step)
+    """Visit transforms V[1..R] in hop mode, as (nodes, hops) series; a step
+    is a shift by one hop column."""
+    return _forward_pass(R, (NODE_VAR, HOP_VAR), node_degree, step_degree + 1, lambda block:
+                         np.concatenate((np.zeros((len(block), 1)), block[:, :-1]), axis=1))
 
 
 def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[TruncatedSeries]:
-    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose time
-    axis holds moment-series coefficients; max_hops(R, node_degree) + 1 sweeps."""
-    return _solve_visits(R, (NODE_VAR, TIME_VAR), (node_degree, order),
-                         max_hops(R, node_degree) + 1, _delay_step(R, eta, order))
+    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose
+    time axis holds moment-series coefficients; the step of state i is the
+    product with the upper-triangular Toeplitz matrix of its holding series."""
+    S = min(R, node_degree)
+    hold = np.array([holding_series(j, eta, order) for j in range(1, S + 1)]).reshape(S, order + 1)
+    lag = np.arange(order + 1) - np.arange(order + 1)[:, None]
+    toeplitz = np.where(lag >= 0, hold[:, np.maximum(lag, 0)], 0.0)
+    return _forward_pass(R, (NODE_VAR, TIME_VAR), node_degree, order + 1,
+                         lambda block: (block[:, None] @ toeplitz)[:, 0])
 
 
 # --- master series and extraction ---------------------------------------------
@@ -159,7 +171,7 @@ def _master_series(visits: list[TruncatedSeries], step) -> TruncatedSeries:
 def hop_master_series(R: int, n_max: int) -> TruncatedSeries:
     """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n],
     for n <= n_max and every possible m <= max_hops(R, n_max)."""
-    return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max)), _hop_step)
+    return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max))[:n_max], _hop_step)
 
 
 def hop_pmf_gf(R: int, n: int) -> np.ndarray:
@@ -180,8 +192,8 @@ def hop_pmf_gf(R: int, n: int) -> np.ndarray:
 
 def delay_master_series(R: int, eta: float, n_max: int, order: int = 2) -> TruncatedSeries:
     """(nodes, time) series whose row n holds the delay moment series at size n."""
-    return _master_series(solve_delay_system(R, eta, n_max, order),
-                          _delay_step(R, eta, order))
+    return _master_series(solve_delay_system(R, eta, n_max, order)[:n_max],
+                          _delay_step(min(R, n_max), eta, order))
 
 
 def delay_moments_gf(R: int, eta: float, n: int, order: int = 2) -> list[float]:
@@ -262,15 +274,15 @@ def dp_cost(R: int, n: int) -> tuple[int, int]:
 
 
 def transform_cost(R: int, n: int) -> tuple[int, int]:
-    """Upper bounds on the (element updates, floats of the R visit
-    transforms) of the transform route at (R, n).  With M = max_hops(R, n),
-    each system makes M + 1 sweeps.  A hop sweep makes about R^2 + 6R passes
-    over (n + 1) x (M + 1) series: two for each of its R(R + 1)/2 terms and
-    about five per state for its shifts and sums.  A term of either system
-    also costs about as much Python as 2000 element updates."""
-    hops = max_hops(R, n)
-    cells = R * (n + 1) * (hops + 1)
-    return ((R + 6) * cells + 2000 * R * R) * (hops + 1), cells
+    """Upper bounds on the (element updates, floats) of the transform route
+    at (R, n), S = min(R, n), M = max_hops(R, n).  A forward pass makes a
+    few passes per row over S states, M + 1 wide (hops) or a 3 x 3 product
+    (time), and Python worth 7000 updates; the master series add 17000 per
+    state up to S, the R returned series 1000 updates and 30 floats each.
+    Visits and suffix sums hold (R + S)(n + 1)(M + 4) floats."""
+    S, hops = min(R, n), max_hops(R, n)
+    work = (n + 1) * (S * (10 * hops + 70) + 7000) + 17000 * S + 1000 * R
+    return work, (R + S) * (n + 1) * (hops + 4) + 30 * R
 
 
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:

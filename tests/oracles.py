@@ -17,7 +17,9 @@ from heapq import heappop, heappush
 import numpy as np
 
 from tricklelab import analytics as an
+from tricklelab import gf
 from tricklelab.core import TAU_INFINITE, TrickleParams
+from tricklelab.series import TruncatedSeries
 from tricklelab.simulate import (
     LineTopology,
     NonTerminationError,
@@ -211,6 +213,34 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
     walk(1, 0, 0, Fraction(1), Fraction(0), Fraction(0))
     return pmf, moments[0], moments[1] - moments[0] ** 2
 
+
+
+def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = None):
+    """The visit transforms V[1..R] of tricklelab.gf by Jacobi sweeps of
+    V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]) from zero, over the series
+    ring: in hop mode (eta None) step_i shifts by one hop, in delay mode it
+    multiplies by state i's holding-time moment series up to t^degree.  After
+    t sweeps every path of fewer than t steps is accounted for, and a path
+    that covers at most node_degree nodes takes at most
+    max_hops(R, node_degree) steps."""
+    P = an.transition_matrix(R)
+    if eta is None:
+        variables = (gf.NODE_VAR, gf.HOP_VAR)
+        step = lambda i, s: s.shifted((0, 1))
+    else:
+        variables = (gf.NODE_VAR, gf.TIME_VAR)
+        hold = [gf.holding_series(j, eta, degree) for j in range(1, R + 1)]
+        step = lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+    zero = TruncatedSeries.zeros(variables, (node_degree, degree))
+    visits = [zero] * R
+    for _ in range(gf.max_hops(R, node_degree) + 1):
+        stepped = [step(i, v) for i, v in enumerate(visits)]
+        visits = [
+            sum((P[i, k] * stepped[i] for i in range(R) if P[i, k]), zero).shifted((k + 1, 0))
+            for k in range(R)
+        ]
+        visits[0] = visits[0] + 1.0
+    return visits
 
 # --- the protocol engine with one immutable state object per node -------------
 

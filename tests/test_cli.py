@@ -337,10 +337,10 @@ class TestValidation:
         ("TRICKLE_LAB_SEED=abc", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("TRICKLE_LAB_SEED=-3", "simulate", "--R", "2", "--n", "5", "--reps", "2"),
         ("compare", "--R", "2", "--n", "5", "--reps", "1"),         # no sample variance
-        ("gf", "--R", "5", "--n", "1000"),                         # over gf.MAX_WORK
+        ("gf", "--R", "5", "--n", "1000"),                         # over gf.TRANSFORM_MAX_N
         ("exact", "--R", "30", "--n", "100000"),
-        ("gf", "--R", "1", "--n", "522"),                          # the first n refused at R = 1
-        ("gf", "--R", "500", "--n", "1"),                          # the first R refused at n = 1
+        ("gf", "--R", "1", "--n", "520"),                          # the first n refused
+        ("gf", "--R", "250000", "--n", "1"),                       # the first R refused at n = 1
         ("exact", "--R", "10000", "--n", "20000"),
         ("analyze", "--R", "501"),                                 # R x R over gf.MAX_CELLS
         ("sweep-eta", "--R", "501"),
@@ -370,12 +370,13 @@ class TestValidation:
             raise AssertionError("an oversized query reached the solver")
         for name in ("exact_law_dp", "hop_pmf_gf", "delay_moments_gf"):
             monkeypatch.setattr(gf, name, unreachable)
-        for argv in (["exact", "--R", "30", "--n", "100000"], ["gf", "--R", "5", "--n", "1000"],
-                     ["gf", "--R", "500", "--n", "1"]):
+        for argv, limit in ((["exact", "--R", "30", "--n", "100000"], "over the limits"),
+                            (["gf", "--R", "5", "--n", "1000"], "over the accuracy limit"),
+                            (["gf", "--R", "250000", "--n", "1"], "over the limits")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
-            assert "over the limit" in capsys.readouterr().err
+            assert limit in capsys.readouterr().err
 
     def test_oversized_chain_solve_is_refused_before_it_starts(self, capsys, monkeypatch):
         def unreachable(*args):
@@ -434,18 +435,20 @@ class TestValidation:
         work, cells = gf.dp_cost(R, n)
         assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
 
-    @pytest.mark.parametrize("R, n", [(5, 500), (30, 300), (1, 521), (499, 1)])
+    @pytest.mark.parametrize("R, n", [(5, 500), (30, 300), (1, 519), (2674, 519), (249999, 1)])
     def test_work_limits_admit_gf_queries(self, R, n):
-        # the CI smoke run, the README, and the largest n at R = 1 and R at n = 1
-        work, cells = map(sum, zip(gf.dp_cost(R, n), gf.transform_cost(R, n)))
-        assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
+        # the CI smoke runs, the README, the largest n, and the largest R at
+        # that n and at n = 1
+        parser = cli.build_parser()
+        cli._validate(parser.parse_args(["gf", "--R", str(R), "--n", str(n)]), parser)
 
-    def test_gf_work_limit_binds_before_its_cells_limit(self):
-        # so the cells limit of an exact-law query is reached first only by exact
-        for R in range(1, 600):
-            for n in sorted({int(1.2 ** k) for k in range(70)}):
+    def test_gf_cells_limit_binds_before_its_work_limit(self):
+        # up to the accuracy limit on n, only the cells limit (the R series
+        # the route returns) refuses a gf query
+        for R in sorted({*range(1, 600), *(int(1.2 ** k) for k in range(35, 75))}):
+            for n in sorted({int(1.2 ** k) for k in range(35)} | {gf.TRANSFORM_MAX_N}):
                 work, cells = map(sum, zip(gf.dp_cost(R, n), gf.transform_cost(R, n)))
-                assert cells <= gf.MAX_CELLS or work > gf.MAX_WORK
+                assert work <= gf.MAX_WORK or cells > gf.MAX_CELLS
 
     def test_tau_h_inf_literal_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--R", "2", "--n", "5",

@@ -10,7 +10,7 @@ from tricklelab import gf
 from tricklelab.analytics import transition_matrix
 from tricklelab.series import TruncatedSeries
 
-from oracles import exact_law_paths
+from oracles import exact_law_paths, visits_by_sweeps
 
 
 def holding_density(x, j, eta):
@@ -267,22 +267,24 @@ class TestSupport:
             assert [p != 0 for p in pmf].index(True) == -(-n // R)
             assert pmf[-1] > 0
 
-    @pytest.mark.parametrize("R, n", [(1, 1), (1, 12), (3, 2), (3, 3), (4, 4), (2, 12), (5, 18),
-                                      (5, 20), (8, 30)])
-    def test_one_more_sweep_changes_nothing(self, monkeypatch, R, n):
-        # the sweep counts already reach the exact truncated solution: the
-        # visit transforms are bit-identical after one more Jacobi sweep
-        def solve_both():
-            hops = gf.solve_hop_system(R, n, gf.max_hops(R, n))
-            wide = gf.solve_hop_system(R, n, n + 2)  # step degree above the support
-            return hops + wide + gf.solve_delay_system(R, 0.3, n, 3)
-
-        base = solve_both()
-        solve = gf._solve_visits
-        monkeypatch.setattr(gf, "_solve_visits",
-                            lambda R, v, d, sweeps, step: solve(R, v, d, sweeps + 1, step))
-        more = solve_both()
-        assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(base, more))
+    @pytest.mark.parametrize("R", range(1, 9))
+    def test_forward_pass_equals_jacobi_sweeps(self, R):
+        # the forward pass over node rows against Jacobi sweeps of the same
+        # system in the series ring (tests/oracles.py), with the step degree
+        # below, at and above the support, and in delay mode
+        for n in range(61):
+            M = gf.max_hops(R, n)
+            for degree in sorted({max(M - 1, 0), M, M + 2}):
+                fast, slow = gf.solve_hop_system(R, n, degree), visits_by_sweeps(R, n, degree)
+                assert len(fast) == len(slow) == R
+                for a, b in zip(fast, slow):
+                    assert a.coeffs.shape == b.coeffs.shape
+                    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-16
+            fast, slow = gf.solve_delay_system(R, 0.3, n, 3), visits_by_sweeps(R, n, 3, 0.3)
+            assert len(fast) == len(slow) == R
+            for a, b in zip(fast, slow):
+                assert a.coeffs.shape == b.coeffs.shape
+                assert np.allclose(a.coeffs, b.coeffs, rtol=1e-15, atol=0.0)
 
 
 class TestDelayLaw:

@@ -93,10 +93,10 @@ def max_hops(R: int, n: int) -> int:
 # event that the chain is in state u after m steps.  It solves
 #     V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]),
 # where step_i charges one transition out of state i on the second variable.
-# P[i,k] is 1/i for i >= R - k + 1 (else 0) and every term carries z^k,
-# k >= 1, so row a of V[k] (its z^a terms) is the suffix sum over those i of
-# step_i(row a - k of V[i]) / i: one forward pass over rows a = 0 .. n solves
-# it exactly.  V[k] is zero below row k, so only states k <= min(R, n) count.
+# P[i,k] is 1/i for i >= R - k + 1 (else 0) and each term carries z^k, k >= 1,
+# so row a of V[k] (its z^a terms) is the suffix sum over those i of
+# step_i(row a - k of V[i]) / i: one pass over rows a = 0 .. n is exact.  Only
+# states k <= min(R, n) reach a row a <= n: V[k] - [k == 1] starts at row k.
 
 
 def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:

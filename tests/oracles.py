@@ -5,8 +5,10 @@ of the closed-form stationary law, chain-power sums and per-eta matrix
 products instead of the closed forms and the eta-free quadratic in
 tricklelab.analytics, a simulated stationary chain instead of the exact
 variance rate, a rational sum over every path instead of the exact-law
-dynamic program, and a protocol event loop that keeps one immutable state
-object per node instead of the library's per-field arrays.
+dynamic program, Jacobi sweeps in the series ring instead of the forward
+pass over node rows that solves the visit system, and a protocol event loop
+that keeps one immutable state object per node instead of the library's
+per-field arrays.
 """
 
 import math
@@ -214,7 +216,6 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
     return pmf, moments[0], moments[1] - moments[0] ** 2
 
 
-
 def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = None):
     """The visit transforms V[1..R] of tricklelab.gf by Jacobi sweeps of
     V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]) from zero, over the series
@@ -241,6 +242,7 @@ def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = 
         ]
         visits[0] = visits[0] + 1.0
     return visits
+
 
 # --- the protocol engine with one immutable state object per node -------------
 

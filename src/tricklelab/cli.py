@@ -186,8 +186,10 @@ def emit(result, out_path: str | None) -> None:
     """Write a command's result: a JSON payload (a dict), or a CSV
     (header, columns) pair written CSV_BLOCK rows at a time.
 
-    A CSV cell is str() of a Python int, float or string; numpy columns are
-    converted block by block, so the text of one block at a time is held.
+    A CSV cell is str() of a Python int, float or string, and a block is one
+    % operation: the row template "%s,...,%s\\n" repeated once per row, applied
+    to the block's cells in row-major order.  numpy columns are converted
+    block by block, so the text of one block at a time is held.
     """
     try:
         with (contextlib.nullcontext(sys.stdout) if out_path is None
@@ -197,16 +199,17 @@ def emit(result, out_path: str | None) -> None:
                 return
             header, columns = result
             fh.write(",".join(header) + "\n")
+            width = len(columns)
+            row = ",".join(["%s"] * width) + "\n"
             for lo in range(0, len(columns[0]), CSV_BLOCK):
-                cells = (map(str, _values(c[lo:lo + CSV_BLOCK])) for c in columns)
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                cells = np.empty((min(CSV_BLOCK, len(columns[0]) - lo), width), dtype=object)
+                for j, column in enumerate(columns):
+                    # an array's values become Python ints and floats
+                    cells[:, j] = column[lo:lo + CSV_BLOCK]
+                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO_ERROR)
-
-
-def _values(part):
-    return part.tolist() if isinstance(part, np.ndarray) else part
 
 
 # --- commands -----------------------------------------------------------------

@@ -233,6 +233,9 @@ def sample_renewal_event(R: int, n: int, eta: float, seed: int = 0) -> tuple[int
 def _renewal_samples(R: int, n: int, eta: float, reps: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """reps chain samples, cut into blocks of RENEWAL_BLOCK lanes."""
+    # From size 1 the next size is R, which covers n in one hop for any
+    # R >= n: min(R, n) draws the same samples and keeps R in an int64.
+    R = min(R, n)
     h = np.empty(reps, dtype=np.int64)
     t = np.empty(reps, dtype=float)
     for b, lo in enumerate(range(0, reps, RENEWAL_BLOCK)):
@@ -320,6 +323,7 @@ def ks_distance(samples, standardization: tuple[float, float]) -> float:
     x = np.sort((np.asarray(samples, dtype=float) - mean) / std)
     if len(x) == 0:
         raise DegenerateInputError("no samples")
-    cdf = 0.5 * np.frompyfunc(math.erfc, 1, 1)(-x / math.sqrt(2.0)).astype(float)  # N(0, 1) CDF
+    z = -x / math.sqrt(2.0)
+    cdf = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, len(z))  # N(0, 1) CDF
     grid = np.arange(len(x) + 1) / len(x)
     return float(max(np.max(cdf - grid[:-1]), np.max(grid[1:] - cdf)))

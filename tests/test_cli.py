@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -201,6 +202,16 @@ class TestSimulate:
         assert data["H"] == ss.h_samples.tolist()
         assert data["T"] == ss.t_samples.tolist()
 
+    @pytest.mark.parametrize("R", [str(2**63), str(10**30)])
+    def test_range_past_int64_gives_the_samples_of_range_n(self, capsys, R):
+        # any R >= n covers n in the first hop: the same samples as R = n
+        args = ("--n", "5", "--eta", "0.5", "--reps", "40", "--seed", "4")
+        code, out, err = run_cli(capsys, "simulate", "--R", R, *args)
+        assert code == 0, err
+        assert out == run_cli(capsys, "simulate", "--R", "5", *args)[1]
+        code, out, _ = run_cli(capsys, "simulate", "--R", R, *args, "--format", "json")
+        assert code == 0 and json.loads(out)["R"] == int(R)
+
     def test_unwritable_output_exits_4(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(SystemExit) as exc:
@@ -295,6 +306,23 @@ def test_csv_and_json_carry_bit_identical_values(capsys, argv, json_rows):
     assert [row[:len(expected[0])] for row in rows] == expected
     if argv[0] == "analyze":
         assert header == [k for k in json.loads(json_out) if k not in ("Z", "M")]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    # crosses a CSV block and a renewal block
+    (("simulate", "--R", "5", "--n", "40", "--eta", "0.5",
+      "--reps", str(2 * cli.CSV_BLOCK + 5), "--seed", "3"),
+     "a42e70197445ae307f81bdd84ca1599fe051650d3990f8b60794b3d22ce4b26a"),
+    # its ks_T cell is nan
+    (("compare", "--R", "1", "--n", "5", "--eta", "1", "--reps", "10", "--seed", "2"),
+     "e0d032056022793301b9b11151ec82c66fad6e6a56e8065f548bfb7e1b941f71"),
+    (("sweep-eta", "--R", "5", "--steps", str(cli.CSV_BLOCK + 5)),
+     "72a632e191cea1bb1aa6793d83f14f5070031abe04a39764e797b81de30ce07d"),
+], ids=["simulate", "compare", "sweep-eta"])
+def test_csv_bytes_match_golden_digest(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cached_parser_carries_nothing_between_queries(capsys, monkeypatch):
@@ -497,12 +525,16 @@ FLOATS = st.one_of(
     st.floats(-0.5, 1.5).map(repr),
     st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e308", "1e-320", "", "x"]))
 FORMATS = st.sampled_from(["csv", "json", "xml", ""])
-FLAGS = {"--R": INTS, "--n": INTS, "--eta": FLOATS, "--steps": INTS, "--format": FORMATS}
+REPS = st.integers(0, 4).map(str)  # small, so that admitted samplings stay quick
+FLAGS = {"--R": INTS, "--n": INTS, "--eta": FLOATS, "--steps": INTS, "--format": FORMATS,
+         "--reps": REPS}
 RUNS = {  # (required flags, optional flags)
     "analyze": (("--R",), ("--eta", "--format")),
     "sweep-eta": (("--R",), ("--steps", "--format")),
     "exact": (("--R", "--n"), ("--eta", "--format")),
     "gf": (("--R", "--n"), ("--eta", "--format")),
+    "simulate": (("--R", "--n", "--reps"), ("--eta", "--format")),
+    "compare": (("--R", "--n", "--reps"), ("--eta", "--format")),
 }
 
 

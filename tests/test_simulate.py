@@ -207,7 +207,8 @@ class TestRenewalSampler:
             assert np.all(t <= h + slack)
 
     def test_matches_scalar_chain_on_the_same_uniforms(self):
-        for R, n, eta in ((4, 30, 0.25), (1, 7, 0.0), (9, 100, 0.6)):
+        # 2**63: a range past n, and past the int64 range
+        for R, n, eta in ((4, 30, 0.25), (1, 7, 0.0), (9, 100, 0.6), (2**63, 40, 0.3)):
             h, t = _renewal(R, n, eta, 300, seed=21)
             ref_h, ref_t = _reference_block(R, n, eta, 300, seed=21)
             assert np.array_equal(h, ref_h)

@@ -48,7 +48,6 @@ from .simulate import (
     ks_distance,
     monte_carlo,
     run_protocol_event,
-    sample_renewal_event,
 )
 
 __version__ = "0.1.0"

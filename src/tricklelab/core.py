@@ -41,7 +41,7 @@ class TrickleParams:
     eta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.k < 1 or int(self.k) != self.k:
+        if not self.k >= 1 or self.k % 1:  # also rejects NaN and infinity
             raise ValueError(f"k must be a positive integer, got {self.k}")
         if not self.tau_l > 0:
             raise ValueError(f"tau_l must be positive, got {self.tau_l}")

@@ -3,19 +3,23 @@
 Two independent routes to the same laws:
 
 * a transform route: the visit transforms of the update-size chain, one per
-  state u, counting the visits to u by nodes covered and hops taken (or
-  elapsed time, as moment-series coefficients), solved by one forward pass
-  over node rows and assembled in a truncated series ring into a master
-  series whose coefficients are P[hops = m at size n] (or the delay moment
-  generating function at size n);
+  state u <= min(R, n) (the states that a size up to n can reach), counting
+  the visits to u by nodes covered and hops taken (or elapsed time, as
+  moment-series coefficients), solved by one forward pass over node rows
+  and assembled in a truncated series ring into a master series whose
+  coefficients are P[hops = m at size n] (or the delay moment generating
+  function at size n);
 * a dynamic-programming route: one forward pass over (last update size,
   nodes covered) that carries the probability and the first two moments of
   elapsed time together, yielding the hop pmf and the delay mean and
   variance at once; used as the accuracy oracle.  The mass reaching each
   next size is a suffix sum over the current sizes and only the live band
-  of coverage rows is kept, so a step costs O(R * band), band <= n, and a
-  query O(n^2) in all; the transform route costs O(n min(R, n) M), with
-  M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
+  of coverage rows is kept, so a step costs O(min(R, n) * band), band <= n,
+  and a query O(n^2) in all; the transform route costs O(n min(R, n) M),
+  with M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
+
+Both routes see R only through min(R, n) and the offset R - k of the sizes
+that can move to size k, so their cost and arrays do not grow with R.
 
 The command line refuses, before starting it, a query over MAX_WORK or
 MAX_CELLS (by dp_cost, transform_cost) and a gf query over TRANSFORM_MAX_N.
@@ -79,6 +83,18 @@ def holding_series(j: int, eta: float, order: int) -> np.ndarray:
     return np.array([step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)])
 
 
+def _holding_table(states: int, eta: float, order: int) -> np.ndarray:
+    """Row j - 1 is holding_series(j, eta, order), for j = 1 .. states."""
+    return np.array([holding_series(j, eta, order) for j in range(1, states + 1)])
+
+
+def _check_query(R: int, n: int, eta: float = 0.0) -> None:
+    if R < 1 or n < 1:
+        raise ValueError(f"R and n must be >= 1, got R={R}, n={n}")
+    if not 0.0 <= eta <= 1.0:  # also rejects NaN
+        raise ValueError(f"eta must lie in [0, 1], got {eta}")
+
+
 def max_hops(R: int, n: int) -> int:
     """The largest hop count with which an update can reach size n: the
     first broadcast covers R nodes and any two in a row at least R + 1, so
@@ -108,16 +124,17 @@ def _delay_step(states: int, eta: float, order: int):
     """One transition out of state i + 1 in delay mode: the product with that
     state's holding-time moment series.  The series has only time terms, so
     the product is a sum of time shifts, one per moment."""
-    hold = [holding_series(j, eta, order) for j in range(1, states + 1)]
+    hold = _holding_table(states, eta, order)
     return lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
 
 
 def _forward_pass(R, variables, node_degree, width, step) -> list[TruncatedSeries]:
-    """V[1..R] over rows 0 .. node_degree, one row at a time; step(block)
-    takes rows of the states i = 1 .. S = min(R, node_degree) to step_i(row)."""
-    S = min(R, node_degree)
+    """V[1..S] over rows 0 .. node_degree, S = max(1, min(R, node_degree)),
+    one row at a time; step(block) takes rows of the states i = 1 .. S to
+    step_i(row)."""
+    S = max(1, min(R, node_degree))
     inv = 1.0 / np.arange(1, S + 1)[:, None]
-    visits = np.zeros((R, node_degree + 1, width))
+    visits = np.zeros((S, node_degree + 1, width))
     visits[0, 0, 0] = 1.0
     # suffix[a S + j] sums step_i(row a of V[i]) / i over i > j, so row a of
     # V[k] is suffix[(a - k) S + R - k], S + 1 apart for successive k
@@ -128,23 +145,23 @@ def _forward_pass(R, variables, node_degree, width, step) -> list[TruncatedSerie
         if hi >= lo:
             first = (a - hi) * S + R - hi
             visits[lo - 1:hi, a] = suffix[first:first + (hi - lo) * (S + 1) + 1:S + 1][::-1]
-        suffix[a * S:a * S + S] = np.cumsum((step(visits[:S, a]) * inv)[::-1], axis=0)[::-1]
+        suffix[a * S:a * S + S] = np.cumsum((step(visits[:, a]) * inv)[::-1], axis=0)[::-1]
     return [TruncatedSeries(variables, v) for v in visits]
 
 
 def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[TruncatedSeries]:
-    """Visit transforms V[1..R] in hop mode, as (nodes, hops) series; a step
-    is a shift by one hop column."""
+    """Visit transforms V[1..S] in hop mode, S = max(1, min(R, node_degree)),
+    as (nodes, hops) series; a step is a shift by one hop column."""
     return _forward_pass(R, (NODE_VAR, HOP_VAR), node_degree, step_degree + 1, lambda block:
                          np.concatenate((np.zeros((len(block), 1)), block[:, :-1]), axis=1))
 
 
 def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[TruncatedSeries]:
-    """Visit transforms V[1..R] in delay mode, as (nodes, time) series whose
-    time axis holds moment-series coefficients; the step of state i is the
-    product with the upper-triangular Toeplitz matrix of its holding series."""
-    S = min(R, node_degree)
-    hold = np.array([holding_series(j, eta, order) for j in range(1, S + 1)]).reshape(S, order + 1)
+    """Visit transforms V[1..S] in delay mode, S = max(1, min(R, node_degree)),
+    as (nodes, time) series whose time axis holds moment-series coefficients;
+    the step of state i is the product with the upper-triangular Toeplitz
+    matrix of its holding series."""
+    hold = _holding_table(max(1, min(R, node_degree)), eta, order)
     lag = np.arange(order + 1) - np.arange(order + 1)[:, None]
     toeplitz = np.where(lag >= 0, hold[:, np.maximum(lag, 0)], 0.0)
     return _forward_pass(R, (NODE_VAR, TIME_VAR), node_degree, order + 1,
@@ -171,15 +188,14 @@ def _master_series(visits: list[TruncatedSeries], step) -> TruncatedSeries:
 def hop_master_series(R: int, n_max: int) -> TruncatedSeries:
     """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n],
     for n <= n_max and every possible m <= max_hops(R, n_max)."""
-    return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max))[:n_max], _hop_step)
+    return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max)), _hop_step)
 
 
 def hop_pmf_gf(R: int, n: int) -> np.ndarray:
     """Exact hop-count pmf at size n via the transform route; entry m is
     P[hop count = m] for m <= max_hops(R, n).  Entries below ceil(n / R),
     the fewest hops that cover n nodes, are exact zeros."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_query(R, n)
     pmf = hop_master_series(R, n).coeffs[n, :]
     pmf[:-(-n // R)] = 0.0  # 1 - cumsum leaves rounding residue there
     tail = abs(1.0 - pmf.sum())
@@ -192,14 +208,13 @@ def hop_pmf_gf(R: int, n: int) -> np.ndarray:
 
 def delay_master_series(R: int, eta: float, n_max: int, order: int = 2) -> TruncatedSeries:
     """(nodes, time) series whose row n holds the delay moment series at size n."""
-    return _master_series(solve_delay_system(R, eta, n_max, order)[:n_max],
-                          _delay_step(min(R, n_max), eta, order))
+    visits = solve_delay_system(R, eta, n_max, order)
+    return _master_series(visits, _delay_step(len(visits), eta, order))
 
 
 def delay_moments_gf(R: int, eta: float, n: int, order: int = 2) -> list[float]:
     """Exact raw delay moments [E[T], E[T^2], ...] at size n, transform route."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_query(R, n, eta)
     if order < 1:
         raise ValueError("order must be >= 1")
     master = delay_master_series(R, eta, n, order)
@@ -225,8 +240,7 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     band), band <= n.  Entry m of the pmf is P[hop count = m], m = 0 ..
     max_hops(R, n).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_query(R, n, eta)
     u = np.arange(1, min(R, n) + 1)  # a live size is at most the coverage
     e1, e2 = (np.array([step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
     kappa = e1 @ u / u.sum()  # stationary weights are proportional to u
@@ -276,13 +290,11 @@ def dp_cost(R: int, n: int) -> tuple[int, int]:
 def transform_cost(R: int, n: int) -> tuple[int, int]:
     """Upper bounds on the (element updates, floats) of the transform route
     at (R, n), S = min(R, n), M = max_hops(R, n).  A forward pass makes a
-    few passes per row over S states, M + 1 wide (hops) or a 3 x 3 product
-    (time), and Python worth 7000 updates; the master series add 17000 per
-    state up to S, the R returned series 1000 updates and 30 floats each.
-    Visits and suffix sums hold (R + S)(n + 1)(M + 4) floats."""
+    few passes per row over its S states, M + 1 wide (hops) or a 3 x 3
+    product (time), and Python worth 7000 updates; the master series add
+    17000 per state.  Visits and suffix sums hold 2 S (n + 1)(M + 4) floats."""
     S, hops = min(R, n), max_hops(R, n)
-    work = (n + 1) * (S * (10 * hops + 70) + 7000) + 17000 * S + 1000 * R
-    return work, (R + S) * (n + 1) * (hops + 4) + 30 * R
+    return (n + 1) * (S * (10 * hops + 70) + 7000) + 17000 * S, 2 * S * (n + 1) * (hops + 4)
 
 
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ so a full block's samples do not depend on `reps` or on the other blocks.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -65,9 +64,9 @@ class LineTopology:
     R: int
 
     def __post_init__(self) -> None:
-        if self.n < 1 or int(self.n) != self.n:
+        if not self.n >= 1 or self.n % 1:  # also rejects NaN and infinity
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.R < 1 or int(self.R) != self.R:
+        if not self.R >= 1 or self.R % 1:
             raise ValueError(f"R must be a positive integer, got {self.R}")
 
     def receivers(self, sender: int) -> range:
@@ -94,9 +93,6 @@ class PropagationTrace:
             "end_to_end_delay": self.end_to_end_delay,
             "message_count": self.message_count,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 @dataclass(slots=True)
@@ -216,20 +212,6 @@ def run_protocol_event(
     )
 
 
-def sample_renewal_event(R: int, n: int, eta: float, seed: int = 0) -> tuple[int, float]:
-    """Draw one (hop count, delay) pair straight from the update-size chain.
-
-    Matches the k = 1, unbounded-tau_h protocol law: starting from a single
-    updated node, each broadcast updates u' uniform on {R - u + 1, ..., R}
-    after a holding time eta + (1 - eta) * Beta(1, u).  The pair is the
-    renewal engine's replication 0 of a one-replication run with this seed.
-    """
-    if R < 1 or n < 1 or not 0.0 <= eta <= 1.0:
-        raise ValueError(f"bad renewal parameters R={R}, n={n}, eta={eta}")
-    h, t = _renewal_samples(R, n, eta, 1, seed)
-    return int(h[0]), float(t[0])
-
-
 def _renewal_samples(R: int, n: int, eta: float, reps: int,
                      seed: int) -> tuple[np.ndarray, np.ndarray]:
     """reps chain samples, cut into blocks of RENEWAL_BLOCK lanes."""
@@ -293,8 +275,8 @@ def monte_carlo(
         raise ValueError("reps must be >= 1")
     if engine not in ("protocol", "renewal"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "renewal" and params.k != 1:
-        raise ValueError("the renewal engine models k = 1 only")
+    if engine == "renewal" and (params.k != 1 or params.tau_h != TAU_INFINITE):
+        raise ValueError("the renewal engine models k = 1 with unbounded tau_h only")
     if engine == "renewal":
         h, t = _renewal_samples(topo.R, topo.n, params.eta, reps, seed)
     else:
@@ -318,7 +300,7 @@ def monte_carlo(
 def ks_distance(samples, standardization: tuple[float, float]) -> float:
     """Sup distance between standardized samples' empirical CDF and N(0, 1)."""
     mean, std = standardization
-    if std <= 0.0:
+    if not std > 0.0:  # also rejects NaN
         raise DegenerateInputError(f"standard deviation must be positive, got {std}")
     x = np.sort((np.asarray(samples, dtype=float) - mean) / std)
     if len(x) == 0:

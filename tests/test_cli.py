@@ -136,6 +136,21 @@ class TestExactAndGF:
         code, _, _ = run_cli(capsys, "gf", "--R", "3", "--n", "9", "--eta", "0.25")
         assert code == expected
 
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_gf_range_past_n_gives_the_law_of_range_n(self, capsys, n):
+        # states above min(R, n) never reach size n: any R >= n, also past
+        # the int64 range, answers with the bytes of R = n but for "R"
+        args = ("--n", str(n), "--eta", "0.3")
+        csv = run_cli(capsys, "gf", "--R", str(n), *args)[1]
+        payload = json.loads(run_cli(capsys, "gf", "--R", str(n), *args, "--format", "json")[1])
+        for R in (n + 1, 250000, 2**63):
+            code, out, err = run_cli(capsys, "gf", "--R", str(R), *args)
+            assert code == 0, err
+            assert out == csv
+            code, out, err = run_cli(capsys, "gf", "--R", str(R), *args, "--format", "json")
+            assert code == 0, err
+            assert json.loads(out) == {**payload, "R": R}
+
     def test_gf_insufficient_truncation_exits_3(self, capsys, monkeypatch):
         max_hops = gf.max_hops
         monkeypatch.setattr(gf, "max_hops", lambda R, n: max_hops(R, n) - 1)
@@ -368,7 +383,7 @@ class TestValidation:
         ("gf", "--R", "5", "--n", "1000"),                         # over gf.TRANSFORM_MAX_N
         ("exact", "--R", "30", "--n", "100000"),
         ("gf", "--R", "1", "--n", "520"),                          # the first n refused
-        ("gf", "--R", "250000", "--n", "1"),                       # the first R refused at n = 1
+        ("gf", "--R", "250000", "--n", "520"),                     # any R is refused over n = 519
         ("exact", "--R", "10000", "--n", "20000"),
         ("analyze", "--R", "501"),                                 # R x R over gf.MAX_CELLS
         ("sweep-eta", "--R", "501"),
@@ -400,7 +415,7 @@ class TestValidation:
             monkeypatch.setattr(gf, name, unreachable)
         for argv, limit in ((["exact", "--R", "30", "--n", "100000"], "over the limits"),
                             (["gf", "--R", "5", "--n", "1000"], "over the accuracy limit"),
-                            (["gf", "--R", "250000", "--n", "1"], "over the limits")):
+                            (["exact", "--R", "250000", "--n", "40000"], "over the limits")):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
@@ -463,20 +478,22 @@ class TestValidation:
         work, cells = gf.dp_cost(R, n)
         assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
 
-    @pytest.mark.parametrize("R, n", [(5, 500), (30, 300), (1, 519), (2674, 519), (249999, 1)])
+    @pytest.mark.parametrize("R, n", [(5, 500), (30, 300), (1, 519), (2674, 519), (249999, 1),
+                                      (250000, 1), (2**63, 5)])
     def test_work_limits_admit_gf_queries(self, R, n):
-        # the CI smoke runs, the README, the largest n, and the largest R at
-        # that n and at n = 1
+        # the CI smoke runs, the README, the largest n, and ranges far past n
         parser = cli.build_parser()
         cli._validate(parser.parse_args(["gf", "--R", str(R), "--n", str(n)]), parser)
 
-    def test_gf_cells_limit_binds_before_its_work_limit(self):
-        # up to the accuracy limit on n, only the cells limit (the R series
-        # the route returns) refuses a gf query
-        for R in sorted({*range(1, 600), *(int(1.2 ** k) for k in range(35, 75))}):
-            for n in sorted({int(1.2 ** k) for k in range(35)} | {gf.TRANSFORM_MAX_N}):
-                work, cells = map(sum, zip(gf.dp_cost(R, n), gf.transform_cost(R, n)))
-                assert work <= gf.MAX_WORK or cells > gf.MAX_CELLS
+    def test_gf_queries_up_to_the_accuracy_limit_are_within_both_limits(self):
+        # both routes see R only through S = min(R, n), so R = S covers every R
+        for n in range(1, gf.TRANSFORM_MAX_N + 1):
+            for S in range(1, n + 1):
+                work, cells = map(sum, zip(gf.dp_cost(S, n), gf.transform_cost(S, n)))
+                assert work <= gf.MAX_WORK and cells <= gf.MAX_CELLS
+            for R in (n + 1, 2**63):
+                assert gf.dp_cost(R, n) == gf.dp_cost(n, n)
+                assert gf.transform_cost(R, n) == gf.transform_cost(n, n)
 
     def test_tau_h_inf_literal_accepted(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--R", "2", "--n", "5",

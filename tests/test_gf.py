@@ -271,20 +271,27 @@ class TestSupport:
     def test_forward_pass_equals_jacobi_sweeps(self, R):
         # the forward pass over node rows against Jacobi sweeps of the same
         # system in the series ring (tests/oracles.py), with the step degree
-        # below, at and above the support, and in delay mode
+        # below, at and above the support, and in delay mode; the pass
+        # returns the S = max(1, min(R, n)) states that reach a row <= n,
+        # and every other state of the sweeps is exactly zero
+        def check(fast, slow, close):
+            assert len(fast) == max(1, min(R, n)) and len(slow) == R
+            for a, b in zip(fast, slow):
+                assert a.coeffs.shape == b.coeffs.shape
+                assert close(a.coeffs, b.coeffs)
+            for k, b in enumerate(slow, start=1):
+                rest = b.coeffs.copy()
+                rest[0, 0] -= k == 1
+                assert not rest[:k].any()  # V[k] - [k == 1] starts at row k
+                assert k <= len(fast) or not rest.any()
+
         for n in range(61):
             M = gf.max_hops(R, n)
             for degree in sorted({max(M - 1, 0), M, M + 2}):
-                fast, slow = gf.solve_hop_system(R, n, degree), visits_by_sweeps(R, n, degree)
-                assert len(fast) == len(slow) == R
-                for a, b in zip(fast, slow):
-                    assert a.coeffs.shape == b.coeffs.shape
-                    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-16
-            fast, slow = gf.solve_delay_system(R, 0.3, n, 3), visits_by_sweeps(R, n, 3, 0.3)
-            assert len(fast) == len(slow) == R
-            for a, b in zip(fast, slow):
-                assert a.coeffs.shape == b.coeffs.shape
-                assert np.allclose(a.coeffs, b.coeffs, rtol=1e-15, atol=0.0)
+                check(gf.solve_hop_system(R, n, degree), visits_by_sweeps(R, n, degree),
+                      lambda a, b: np.max(np.abs(a - b)) <= 1e-16)
+            check(gf.solve_delay_system(R, 0.3, n, 3), visits_by_sweeps(R, n, 3, 0.3),
+                  lambda a, b: np.allclose(a, b, rtol=1e-15, atol=0.0))
 
 
 class TestDelayLaw:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from tricklelab.simulate import (
     monte_carlo,
     replication_stream,
     run_protocol_event,
-    sample_renewal_event,
 )
 
 from oracles import estimate_time_variance_rate, reference_protocol_event, validate_wavefront
@@ -96,8 +96,7 @@ class TestProtocolEvent:
         d = tr.to_dict()
         assert set(d) == {"update_time", "broadcasts", "hop_count",
                           "end_to_end_delay", "message_count"}
-        import json
-        assert json.loads(tr.to_json()) == d
+        assert json.loads(json.dumps(d)) == d
 
     def test_traces_match_golden_digest(self):
         # SHA-256 over the JSON of 162 traces (or the NonTerminationError
@@ -110,12 +109,9 @@ class TestProtocolEvent:
                 for tau_h in (math.inf, 4.0, 16.0):
                     for eta in (0.0, 0.5, 1.0):
                         for seed in range(3):
-                            try:
-                                line = run_protocol_event(
-                                    TrickleParams(k=k, tau_h=tau_h, eta=eta),
-                                    LineTopology(n=n, R=R), seed=seed).to_json()
-                            except NonTerminationError as exc:
-                                line = f"NonTerminationError: {exc}"
+                            line = _trace_or_error(run_protocol_event,
+                                                   TrickleParams(k=k, tau_h=tau_h, eta=eta),
+                                                   LineTopology(n=n, R=R), seed)
                             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == (
             "895c3f0e24f0747e59504a8a68b47b1713386801cd5e2f53e01b16c001b7ce72")
@@ -123,7 +119,7 @@ class TestProtocolEvent:
 
 def _trace_or_error(run, params, topo, seed):
     try:
-        return run(params, topo, seed=seed).to_json()
+        return json.dumps(run(params, topo, seed=seed).to_dict())
     except NonTerminationError as exc:
         return f"NonTerminationError: {exc}"
 
@@ -173,7 +169,7 @@ def _reference_block(R, n, eta, lanes, seed, block=0):
 class TestRenewalSampler:
     def test_unit_range_is_deterministic_hop_count(self):
         for eta in (0.0, 0.7):
-            h, t = sample_renewal_event(1, 5, eta, seed=1)
+            [h], [t] = _renewal(1, 5, eta, 1, seed=1)
             assert h == 5
             assert 5 * eta <= t <= 5.0
             h, _ = _renewal(1, 17, eta, 200, seed=3)
@@ -190,15 +186,15 @@ class TestRenewalSampler:
     def test_hop_path_invariant_under_eta(self):
         # the chain draw consumes one uniform per step regardless of eta
         for seed in (1, 2, 3):
-            h0, _ = sample_renewal_event(4, 60, 0.0, seed=seed)
-            h5, _ = sample_renewal_event(4, 60, 0.5, seed=seed)
+            h0, _ = _renewal(4, 60, 0.0, 1, seed)
+            h5, _ = _renewal(4, 60, 0.5, 1, seed)
             assert h0 == h5
         h0, _ = _renewal(4, 60, 0.0, 3000, seed=2)
         h7, _ = _renewal(4, 60, 0.7, 3000, seed=2)
         assert np.array_equal(h0, h7)
 
     def test_delay_at_least_eta_per_hop(self):
-        h, t = sample_renewal_event(3, 50, 0.4, seed=9)
+        [h], [t] = _renewal(3, 50, 0.4, 1, seed=9)
         assert t >= 0.4 * h
         for eta in (0.0, 0.3, 0.8):
             h, t = _renewal(6, 70, eta, 2000, seed=8)
@@ -213,11 +209,6 @@ class TestRenewalSampler:
             ref_h, ref_t = _reference_block(R, n, eta, 300, seed=21)
             assert np.array_equal(h, ref_h)
             np.testing.assert_allclose(t, ref_t, rtol=1e-13, atol=0.0)
-
-    def test_single_event_is_a_one_replication_run(self):
-        for seed in (0, 5):
-            h, t = _renewal(3, 40, 0.2, 1, seed)
-            assert sample_renewal_event(3, 40, 0.2, seed=seed) == (h[0], t[0])
 
     def test_same_seed_and_reps_give_bit_equal_arrays(self):
         a = _renewal(5, 80, 0.3, 5000, seed=4)
@@ -295,6 +286,26 @@ class TestMonteCarlo:
                      (proto.t_samples, renew.t_samples)):
             se = math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
             assert abs(a.mean() - b.mean()) <= 3 * se
+
+
+@pytest.mark.parametrize("call, error", [
+    # the renewal engine's law is the k = 1, unbounded-tau_h one
+    (lambda: monte_carlo(TrickleParams(tau_h=4.0), LineTopology(50, 5), 5, engine="renewal"),
+     ValueError),
+    (lambda: gf.hop_pmf_gf(0, 5), ValueError),
+    (lambda: gf.delay_moments_gf(0, 0.5, 5), ValueError),
+    (lambda: gf.exact_law_dp(0, 0.5, 5), ValueError),
+    (lambda: gf.exact_law_dp(3, math.nan, 5), ValueError),
+    (lambda: gf.delay_moments_gf(3, 1.5, 5), ValueError),
+    (lambda: LineTopology(math.inf, 5), ValueError),
+    (lambda: LineTopology(5, math.nan), ValueError),
+    (lambda: TrickleParams(k=math.inf), ValueError),
+    (lambda: ks_distance([1, 2, 3], (0, math.nan)), DegenerateInputError),
+], ids=["renewal-finite-tau_h", "gf-R-0", "gf-delay-R-0", "dp-R-0", "dp-eta-nan",
+        "gf-eta-1.5", "topology-n-inf", "topology-R-nan", "params-k-inf", "ks-std-nan"])
+def test_bad_library_inputs_raise_value_errors(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestHoldingTimeLaw:

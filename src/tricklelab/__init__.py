@@ -27,7 +27,6 @@ from .analytics import (
     sigma_H_sq,
     sigma_T_sq,
 )
-from .series import TruncatedSeries, geometric
 from .gf import (
     TruncationInsufficientError,
     delay_moments_dp,

@@ -252,9 +252,8 @@ def _cmd_exact(args):
 
 def _cmd_gf(args):
     pmf = gf.hop_pmf_gf(args.R, args.n)
-    moments = gf.delay_moments_gf(args.R, args.eta, args.n)
-    mean = moments[0]
-    variance = moments[1] - moments[0] ** 2
+    mean, second = gf.delay_moments_gf(args.R, args.eta, args.n)
+    variance = second - mean ** 2
     dp_pmf, dp_mean, dp_var = gf.exact_law_dp(args.R, args.eta, args.n)
     if len(pmf) != len(dp_pmf):
         raise EngineMismatchError(f"the generating-function pmf has {len(pmf)} "
@@ -263,7 +262,7 @@ def _cmd_gf(args):
     mean_err = abs(mean - dp_mean) / dp_mean
     # relative to the variance, but no finer than 1e-4 of E[T^2]: below that
     # both variances are cancellation noise of E[T^2] - E[T]^2
-    var_err = abs(variance - dp_var) / max(dp_var, 1e-4 * moments[1])
+    var_err = abs(variance - dp_var) / max(dp_var, 1e-4 * second)
     if pmf_err > GF_DP_TOL or mean_err > GF_DP_TOL or var_err > GF_DP_TOL:
         raise EngineMismatchError(
             f"generating-function results drifted from the DP oracle: "

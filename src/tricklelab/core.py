@@ -53,14 +53,14 @@ class TrickleParams:
 
 @dataclass(slots=True)
 class NodeState:
-    """Runtime state of every node of a line: entry j of each list is node j's."""
+    """Runtime state of every node of a line: entry j of each list is node j's.
+    A node's broadcast offset and whether its timer fired live only in the
+    driver's event queue."""
 
     tau: list[float]
     c: list[int]
-    t: list[float]
     interval_start: list[float]
     version: list[int]
-    has_fired: list[bool]
 
 
 class Reaction(Enum):
@@ -82,9 +82,7 @@ _STALE = Reaction.STALE_IGNORED
 
 def quiet_state(params: TrickleParams, size: int) -> NodeState:
     """State of `size` nodes idling at tau = tau_h that have not seen any update."""
-    tau_h = params.tau_h
-    return NodeState([tau_h] * size, [0] * size, [tau_h] * size, [0.0] * size,
-                     [0] * size, [False] * size)
+    return NodeState([params.tau_h] * size, [0] * size, [0.0] * size, [0] * size)
 
 
 def start_interval(s: NodeState, j: int, params: TrickleParams, now: float, rng) -> float:
@@ -98,9 +96,7 @@ def start_interval(s: NodeState, j: int, params: TrickleParams, now: float, rng)
     lo = params.eta * tau if tau == params.tau_l else 0.5 * tau
     t = lo + (tau - lo) * rng.random()
     s.c[j] = 0
-    s.t[j] = t
     s.interval_start[j] = now
-    s.has_fired[j] = False
     return t
 
 
@@ -139,7 +135,6 @@ def on_timer(s: NodeState, j: int, params: TrickleParams) -> tuple[float, int | 
     """Fire node j's broadcast timer.  Returns the end time of its interval
     and the version it transmits: its own iff fewer than k messages were
     heard, else None."""
-    s.has_fired[j] = True
     end = s.interval_start[j] + s.tau[j]
     if s.c[j] < params.k:
         return end, s.version[j]

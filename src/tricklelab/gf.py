@@ -5,10 +5,12 @@ Two independent routes to the same laws:
 * a transform route: the visit transforms of the update-size chain, one per
   state u <= min(R, n) (the states that a size up to n can reach), counting
   the visits to u by nodes covered and hops taken (or elapsed time, as
-  moment-series coefficients), solved by one forward pass over node rows
-  and assembled in a truncated series ring into a master series whose
-  coefficients are P[hops = m at size n] (or the delay moment generating
-  function at size n);
+  moment-series coefficients), held as arrays (state, node row, hop or
+  time column) and solved by one forward pass over node rows; the master
+  series, whose row n holds P[hops = m at size n] (or the delay moment
+  series at size n), sums each state's visits less their step.  One step
+  function per mode, a hop-column shift or the product with a Toeplitz
+  matrix of holding-time moments, serves both the pass and the master;
 * a dynamic-programming route: one forward pass over (last update size,
   nodes covered) that carries the probability and the first two moments of
   elapsed time together, yielding the hop pmf and the delay mean and
@@ -30,17 +32,14 @@ and the delay is one timer draw, uniform on [eta, 1].
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-# nothing here inverts a series; geometric stays importable as gf.geometric
+# nothing here uses the series ring; geometric stays importable as gf.geometric
 # because the benchmark tracer (perfbench/tracer.py) wraps it under that name
-from .series import TruncatedSeries, geometric  # noqa: F401
-
-HOP_VAR = "hops"
-NODE_VAR = "nodes"
-TIME_VAR = "time"
+from .series import geometric  # noqa: F401
 
 PMF_TAIL_TOL = 1e-12
 
@@ -53,8 +52,10 @@ MAX_WORK = 10**9
 MAX_CELLS = 10**7
 
 # The largest n the command line runs the transform route at: its delay
-# variance E[T^2] - E[T]^2 cancels as n grows, and up to here its relative
-# error against exact_law_dp over an 11-point eta grid is at most 2.4e-10.
+# variance E[T^2] - E[T]^2 cancels as n grows, and up to here its error
+# against exact_law_dp over an 11-point eta grid, relative to the variance
+# but no finer than 1e-4 of E[T^2] (the gf command's check), is at most
+# 2.8e-10, within that check's 1e-9.
 TRANSFORM_MAX_N = 519
 
 
@@ -83,11 +84,6 @@ def holding_series(j: int, eta: float, order: int) -> np.ndarray:
     return np.array([step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)])
 
 
-def _holding_table(states: int, eta: float, order: int) -> np.ndarray:
-    """Row j - 1 is holding_series(j, eta, order), for j = 1 .. states."""
-    return np.array([holding_series(j, eta, order) for j in range(1, states + 1)])
-
-
 def _check_query(R: int, n: int, eta: float = 0.0) -> None:
     if R < 1 or n < 1:
         raise ValueError(f"R and n must be >= 1, got R={R}, n={n}")
@@ -113,25 +109,36 @@ def max_hops(R: int, n: int) -> int:
 # so row a of V[k] (its z^a terms) is the suffix sum over those i of
 # step_i(row a - k of V[i]) / i: one pass over rows a = 0 .. n is exact.  Only
 # states k <= min(R, n) reach a row a <= n: V[k] - [k == 1] starts at row k.
+#
+# The transforms are one array, visits[u - 1, a] the row a of V[u] over its
+# hop (or time moment-series) column.  A step, step(block, states), takes rows
+# to step_i of them: the rows of one state (states its index u - 1) or one row
+# of several (states a slice of the states axis).
 
 
-def _hop_step(i: int, s: TruncatedSeries) -> TruncatedSeries:
-    """One transition out of state i + 1 in hop mode: one more hop."""
-    return s.shifted((0, 1))
+def _hop_step(block: np.ndarray, states) -> np.ndarray:
+    """One transition in hop mode, out of any state: one more hop."""
+    out = np.zeros_like(block)
+    out[..., 1:] = block[..., :-1]
+    return out
 
 
-def _delay_step(states: int, eta: float, order: int):
-    """One transition out of state i + 1 in delay mode: the product with that
-    state's holding-time moment series.  The series has only time terms, so
-    the product is a sum of time shifts, one per moment."""
-    hold = _holding_table(states, eta, order)
-    return lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+@functools.lru_cache(maxsize=1)
+def _delay_step(S: int, eta: float):
+    """One transition in delay mode out of states 1 .. S: the product of each
+    row with the upper-triangular Toeplitz matrix of the state's holding-time
+    moment series up to t^2.  Cached, so that the pass (solve_delay_system)
+    and the master (delay_master_series) of a query build one table.  Each
+    row is its own 1 x 3 product, so the pass and the master round alike."""
+    hold = np.array([holding_series(j, eta, 2) for j in range(1, S + 1)])
+    lag = np.arange(3) - np.arange(3)[:, None]
+    toeplitz = np.where(lag >= 0, hold[:, np.maximum(lag, 0)], 0.0)
+    return lambda block, states: (block[..., None, :] @ toeplitz[states])[..., 0, :]
 
 
-def _forward_pass(R, variables, node_degree, width, step) -> list[TruncatedSeries]:
+def _forward_pass(R: int, node_degree: int, width: int, step) -> np.ndarray:
     """V[1..S] over rows 0 .. node_degree, S = max(1, min(R, node_degree)),
-    one row at a time; step(block) takes rows of the states i = 1 .. S to
-    step_i(row)."""
+    one row at a time."""
     S = max(1, min(R, node_degree))
     inv = 1.0 / np.arange(1, S + 1)[:, None]
     visits = np.zeros((S, node_degree + 1, width))
@@ -145,49 +152,49 @@ def _forward_pass(R, variables, node_degree, width, step) -> list[TruncatedSerie
         if hi >= lo:
             first = (a - hi) * S + R - hi
             visits[lo - 1:hi, a] = suffix[first:first + (hi - lo) * (S + 1) + 1:S + 1][::-1]
-        suffix[a * S:a * S + S] = np.cumsum((step(visits[:, a]) * inv)[::-1], axis=0)[::-1]
-    return [TruncatedSeries(variables, v) for v in visits]
+        stepped = step(visits[:, a], slice(None)) * inv
+        suffix[a * S:a * S + S] = np.cumsum(stepped[::-1], axis=0)[::-1]
+    return visits
 
 
-def solve_hop_system(R: int, node_degree: int, step_degree: int) -> list[TruncatedSeries]:
+def solve_hop_system(R: int, node_degree: int, step_degree: int) -> np.ndarray:
     """Visit transforms V[1..S] in hop mode, S = max(1, min(R, node_degree)),
-    as (nodes, hops) series; a step is a shift by one hop column."""
-    return _forward_pass(R, (NODE_VAR, HOP_VAR), node_degree, step_degree + 1, lambda block:
-                         np.concatenate((np.zeros((len(block), 1)), block[:, :-1]), axis=1))
+    as an (S, node_degree + 1, step_degree + 1) array: entry [u - 1, a, m] is
+    the z^a y^m coefficient of V[u], y counting hops."""
+    return _forward_pass(R, node_degree, step_degree + 1, _hop_step)
 
 
-def solve_delay_system(R: int, eta: float, node_degree: int, order: int) -> list[TruncatedSeries]:
+def solve_delay_system(R: int, eta: float, node_degree: int) -> np.ndarray:
     """Visit transforms V[1..S] in delay mode, S = max(1, min(R, node_degree)),
-    as (nodes, time) series whose time axis holds moment-series coefficients;
-    the step of state i is the product with the upper-triangular Toeplitz
-    matrix of its holding series."""
-    hold = _holding_table(max(1, min(R, node_degree)), eta, order)
-    lag = np.arange(order + 1) - np.arange(order + 1)[:, None]
-    toeplitz = np.where(lag >= 0, hold[:, np.maximum(lag, 0)], 0.0)
-    return _forward_pass(R, (NODE_VAR, TIME_VAR), node_degree, order + 1,
-                         lambda block: (block[:, None] @ toeplitz)[:, 0])
+    as an (S, node_degree + 1, 3) array: entry [u - 1, a, r] is the z^a t^r
+    coefficient of V[u], t the time variable of the moment series."""
+    S = max(1, min(R, node_degree))
+    return _forward_pass(R, node_degree, 3, _delay_step(S, eta))
 
 
 # --- master series and extraction ---------------------------------------------
 
 
-def _master_series(visits: list[TruncatedSeries], step) -> TruncatedSeries:
+def _master_series(visits: np.ndarray, step) -> np.ndarray:
     """1/(1-z) - z/(1-z) sum_u (V[u] - step_u(V[u])), z counting nodes.
 
     With Z_m the nodes covered after m steps, the hop count at size n is m
     with probability P[Z_(m-1) < n] - P[Z_m < n], and the delay is the time
-    of those m steps; row n of this series is therefore the hop pgf (or the
+    of those m steps; row n of this array is therefore the hop pgf (or the
     delay moment series) at size n.  Division by 1 - z is a cumulative sum.
+    The sum runs one state at a time, so its temporaries are one state's rows.
     """
-    leave = sum(v - step(i, v) for i, v in enumerate(visits)).shifted((1, 0))
-    coeffs = -np.cumsum(leave.coeffs, axis=0)
-    coeffs[:, 0] += 1.0
-    return TruncatedSeries(leave.variables, coeffs)
+    master = np.zeros(visits.shape[1:])
+    for u, v in enumerate(visits):  # row a + 1 takes row a: the factor z
+        master[1:] += step(v[:-1], u) - v[:-1]
+    np.cumsum(master, axis=0, out=master)
+    master[:, 0] += 1.0
+    return master
 
 
-def hop_master_series(R: int, n_max: int) -> TruncatedSeries:
-    """(nodes, hops) series whose (n, m) coefficient is P[hop count = m at size n],
-    for n <= n_max and every possible m <= max_hops(R, n_max)."""
+def hop_master_series(R: int, n_max: int) -> np.ndarray:
+    """(n_max + 1, max_hops(R, n_max) + 1) array whose entry [n, m] is
+    P[hop count = m at size n], for n <= n_max and every possible m."""
     return _master_series(solve_hop_system(R, n_max, max_hops(R, n_max)), _hop_step)
 
 
@@ -196,7 +203,7 @@ def hop_pmf_gf(R: int, n: int) -> np.ndarray:
     P[hop count = m] for m <= max_hops(R, n).  Entries below ceil(n / R),
     the fewest hops that cover n nodes, are exact zeros."""
     _check_query(R, n)
-    pmf = hop_master_series(R, n).coeffs[n, :]
+    pmf = hop_master_series(R, n)[n].copy()
     pmf[:-(-n // R)] = 0.0  # 1 - cumsum leaves rounding residue there
     tail = abs(1.0 - pmf.sum())
     if tail > PMF_TAIL_TOL:
@@ -206,24 +213,22 @@ def hop_pmf_gf(R: int, n: int) -> np.ndarray:
     return pmf
 
 
-def delay_master_series(R: int, eta: float, n_max: int, order: int = 2) -> TruncatedSeries:
-    """(nodes, time) series whose row n holds the delay moment series at size n."""
-    visits = solve_delay_system(R, eta, n_max, order)
-    return _master_series(visits, _delay_step(len(visits), eta, order))
+def delay_master_series(R: int, eta: float, n_max: int) -> np.ndarray:
+    """(n_max + 1, 3) array whose row n holds the delay moment series at size n:
+    1, E[T] and E[T^2] / 2."""
+    visits = solve_delay_system(R, eta, n_max)
+    return _master_series(visits, _delay_step(len(visits), eta))
 
 
-def delay_moments_gf(R: int, eta: float, n: int, order: int = 2) -> list[float]:
-    """Exact raw delay moments [E[T], E[T^2], ...] at size n, transform route."""
+def delay_moments_gf(R: int, eta: float, n: int) -> tuple[float, float]:
+    """Exact raw delay moments (E[T], E[T^2]) at size n, transform route."""
     _check_query(R, n, eta)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    master = delay_master_series(R, eta, n, order)
-    row = master.coeffs[n, :]
+    row = delay_master_series(R, eta, n)[n]
     if abs(row[0] - 1.0) > 1e-9:
         raise TruncationInsufficientError(
             f"delay transform normalization drifted: M(0) = {row[0]!r} at n={n}"
         )
-    return [row[r] * math.factorial(r) for r in range(1, order + 1)]
+    return row[1], row[2] * 2.0
 
 
 def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
@@ -291,10 +296,12 @@ def transform_cost(R: int, n: int) -> tuple[int, int]:
     """Upper bounds on the (element updates, floats) of the transform route
     at (R, n), S = min(R, n), M = max_hops(R, n).  A forward pass makes a
     few passes per row over its S states, M + 1 wide (hops) or a 3 x 3
-    product (time), and Python worth 7000 updates; the master series add
-    17000 per state.  Visits and suffix sums hold 2 S (n + 1)(M + 4) floats."""
+    product (time), and Python worth 7000 updates; the master series makes
+    as many per state over the rows.  With W = M + 1 (hops) or 3 (time), the
+    pass holds the visits and their suffix sums, 2 S (n + 1) W floats, and
+    the master the visits, itself and one state's step, (S + 2)(n + 1) W."""
     S, hops = min(R, n), max_hops(R, n)
-    return (n + 1) * (S * (10 * hops + 70) + 7000) + 17000 * S, 2 * S * (n + 1) * (hops + 4)
+    return (n + 1) * (S * (10 * hops + 70) + 7000), 2 * (S + 1) * (n + 1) * (hops + 3)
 
 
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:

@@ -155,7 +155,6 @@ def run_protocol_event(
             phase = params.tau_h * rnd.random()  # rnd.uniform(0.0, tau_h)
             t = start_interval(s, j, params, -phase, rnd)
             if t < phase:  # its broadcast offset already passed
-                s.has_fired[j] = True
                 push(heap, (-phase + s.tau[j], j, _KIND_INTERVAL_END, 0))
             else:
                 push(heap, (-phase + t, j, _KIND_TIMER, 0))

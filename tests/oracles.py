@@ -6,7 +6,8 @@ products instead of the closed forms and the eta-free quadratic in
 tricklelab.analytics, a simulated stationary chain instead of the exact
 variance rate, a rational sum over every path instead of the exact-law
 dynamic program, Jacobi sweeps in the series ring instead of the forward
-pass over node rows that solves the visit system, and a protocol event loop
+pass over node rows that solves the visit system, the master series summed
+in the series ring instead of over arrays, and a protocol event loop
 that keeps one immutable state object per node instead of the library's
 per-field arrays.
 """
@@ -216,6 +217,16 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
     return pmf, moments[0], moments[1] - moments[0] ** 2
 
 
+def _ring_step(degree: int, eta: float | None, states: int):
+    """step_i over the series ring for states i = 1 .. states: a shift by one
+    hop (eta None), or the product with state i's holding-time moment series
+    up to t^degree, one shifted copy per moment."""
+    if eta is None:
+        return ("nodes", "hops"), lambda i, s: s.shifted((0, 1))
+    hold = [gf.holding_series(j, eta, degree) for j in range(1, states + 1)]
+    return ("nodes", "time"), lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+
+
 def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = None):
     """The visit transforms V[1..R] of tricklelab.gf by Jacobi sweeps of
     V[k] = [k == 1] + sum_i P[i,k] z^k step_i(V[i]) from zero, over the series
@@ -225,13 +236,7 @@ def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = 
     that covers at most node_degree nodes takes at most
     max_hops(R, node_degree) steps."""
     P = an.transition_matrix(R)
-    if eta is None:
-        variables = (gf.NODE_VAR, gf.HOP_VAR)
-        step = lambda i, s: s.shifted((0, 1))
-    else:
-        variables = (gf.NODE_VAR, gf.TIME_VAR)
-        hold = [gf.holding_series(j, eta, degree) for j in range(1, R + 1)]
-        step = lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
+    variables, step = _ring_step(degree, eta, R)
     zero = TruncatedSeries.zeros(variables, (node_degree, degree))
     visits = [zero] * R
     for _ in range(gf.max_hops(R, node_degree) + 1):
@@ -242,6 +247,20 @@ def visits_by_sweeps(R: int, node_degree: int, degree: int, eta: float | None = 
         ]
         visits[0] = visits[0] + 1.0
     return visits
+
+
+def master_by_ring(visits: np.ndarray, eta: float | None = None) -> np.ndarray:
+    """The master series of tricklelab.gf assembled over the series ring from
+    the visit transforms that gf.solve_hop_system (eta None) or
+    gf.solve_delay_system returns: 1/(1-z) - z/(1-z) sum_u (V[u] -
+    step_u(V[u])), each state's visits wrapped as a series and stepped by
+    shifted copies."""
+    variables, step = _ring_step(visits.shape[2] - 1, eta, len(visits))
+    series = [TruncatedSeries(variables, v) for v in visits]
+    leave = sum(v - step(i, v) for i, v in enumerate(series)).shifted((1, 0))
+    master = -np.cumsum(leave.coeffs, axis=0)
+    master[:, 0] += 1.0
+    return master
 
 
 # --- the protocol engine with one immutable state object per node -------------

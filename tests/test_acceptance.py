@@ -127,7 +127,7 @@ def test_criterion_5_transform_route_equals_dp_oracle():
         worst_pmf = 0.0
         for R in range(1, 7):
             for n in range(1, 41):
-                pmf = gf.hop_master_series(R, n).coeffs[n, :]
+                pmf = gf.hop_master_series(R, n)[n]
                 dp = gf.hop_pmf_dp(R, n)
                 assert len(pmf) == len(dp)
                 worst_pmf = max(worst_pmf, float(np.max(np.abs(pmf - dp))))
@@ -136,11 +136,11 @@ def test_criterion_5_transform_route_equals_dp_oracle():
         worst_mean = worst_var = 0.0
         for R in range(1, 7):
             for eta in (0.0, 0.25, 0.5):
-                master = gf.delay_master_series(R, eta, 40, order=2)
-                assert np.allclose(master.coeffs[:, 0], 1.0, atol=1e-9)
+                master = gf.delay_master_series(R, eta, 40)
+                assert np.allclose(master[:, 0], 1.0, atol=1e-9)
                 for n in range(1, 41):
-                    mean = master.coeffs[n, 1]
-                    var = 2.0 * master.coeffs[n, 2] - mean * mean
+                    mean = master[n, 1]
+                    var = 2.0 * master[n, 2] - mean * mean
                     dp_mean, dp_var = gf.delay_moments_dp(R, eta, n)
                     worst_mean = max(worst_mean, abs(mean - dp_mean) / dp_mean)
                     worst_var = max(worst_var, abs(var - dp_var) / dp_var)

@@ -22,13 +22,12 @@ J = 1  # the node the transitions act on, with a neighbour on each side
 
 
 def line(tau, version=0, c=0, now=0.0):
-    """Three nodes, each at tau with its offset t = tau and timer not fired."""
-    return NodeState(tau=[tau] * 3, c=[c] * 3, t=[tau] * 3, interval_start=[now] * 3,
-                     version=[version] * 3, has_fired=[False] * 3)
+    """Three nodes, each at tau in an interval that started at `now`."""
+    return NodeState(tau=[tau] * 3, c=[c] * 3, interval_start=[now] * 3, version=[version] * 3)
 
 
 def entry(s, j=J):
-    return (s.tau[j], s.c[j], s.t[j], s.interval_start[j], s.version[j], s.has_fired[j])
+    return (s.tau[j], s.c[j], s.interval_start[j], s.version[j])
 
 
 def deliver(s, params, version, now, rnd):
@@ -80,12 +79,11 @@ class TestStartInterval:
 
     def test_resets_counter_and_flags(self):
         p = TrickleParams(eta=0.25, tau_h=4.0)
-        s = NodeState(tau=[1.0] * 3, c=[7] * 3, t=[0.9] * 3, interval_start=[-3.0] * 3,
-                      version=[2] * 3, has_fired=[True] * 3)
+        s = NodeState(tau=[1.0] * 3, c=[7] * 3, interval_start=[-3.0] * 3, version=[2] * 3)
         t = start_interval(s, J, p, 5.0, random.Random(0))
-        assert s.c[J] == 0 and not s.has_fired[J]
+        assert s.c[J] == 0
         assert s.interval_start[J] == 5.0 and s.version[J] == 2
-        assert s.t[J] == t and s.tau[J] == 1.0
+        assert 0.25 <= t <= 1.0 and s.tau[J] == 1.0
 
     @pytest.mark.parametrize("tau,eta", [(1.0, 0.0), (1.0, 0.3), (2.0, 0.0)])
     def test_offset_uniform_on_window(self, tau, eta):
@@ -146,13 +144,12 @@ class TestOnTimer:
         s = line(1.0, version=5, now=2.0)
         end, version = on_timer(s, J, p)
         assert version == 5 and end == 3.0
-        assert s.has_fired[J]
 
     def test_suppressed_at_threshold(self):
         p = TrickleParams(k=1)
         s = line(1.0, c=1)
         _, version = on_timer(s, J, p)
-        assert version is None and s.has_fired[J]
+        assert version is None
 
     def test_higher_redundancy_allows_more(self):
         p = TrickleParams(k=2)
@@ -172,7 +169,7 @@ class TestIntervalEnd:
         s = line(1.0)
         t = on_interval_end(s, J, p, 1.0, random.Random(0))
         assert s.tau[J] == 2.0 and s.interval_start[J] == 1.0
-        assert s.t[J] == t and 1.0 <= t <= 2.0
+        assert 1.0 <= t <= 2.0
 
     def test_caps_at_maximum(self):
         p = TrickleParams(tau_l=1.0, tau_h=4.0)
@@ -204,7 +201,7 @@ def test_tau_stays_on_doubling_ladder_and_t_in_window(tau_h_exp, eta, steps, see
     p = TrickleParams(tau_l=1.0, tau_h=float(2**tau_h_exp), eta=eta)
     rnd = random.Random(seed)
     s = line(1.0, version=1)
-    start_interval(s, J, p, 0.0, rnd)
+    t = start_interval(s, J, p, 0.0, rnd)
     now = 0.0
     version = 1
     ladder = {min(2.0**i, p.tau_h) for i in range(tau_h_exp + 2)}
@@ -212,27 +209,30 @@ def test_tau_stays_on_doubling_ladder_and_t_in_window(tau_h_exp, eta, steps, see
         now += 0.25
         if step == "end":
             now = s.interval_start[J] + s.tau[J]
-            on_interval_end(s, J, p, now, rnd)
-        elif step == "adopt":
-            version += 1
-            deliver(s, p, version, now, rnd)
+            t = on_interval_end(s, J, p, now, rnd)
         else:
-            deliver(s, p, 0, now, rnd)
+            version += step == "adopt"
+            if needs_new_interval(on_message(s, J, p, version if step == "adopt" else 0)):
+                t = start_interval(s, J, p, now, rnd)
         tau = s.tau[J]
         assert tau in ladder
         assert p.tau_l <= tau <= p.tau_h
         lo = eta * tau if tau == p.tau_l else tau / 2
-        assert lo - 1e-12 <= s.t[J] <= tau + 1e-12
+        assert lo - 1e-12 <= t <= tau + 1e-12
 
 
 def test_at_most_one_broadcast_per_interval():
+    # on_timer hands the driver the end of the interval, the next event it
+    # queues for the node, so a timer fires once per interval; a message heard
+    # suppresses the next timer (k = 1) until a fresh interval re-arms it
     p = TrickleParams(k=1)
-    s = line(1.0)
-    _, version = on_timer(s, J, p)
-    assert version is not None and s.has_fired[J]
-    # driver never re-fires within the interval; a fresh interval re-arms
-    start_interval(s, J, p, 1.0, random.Random(0))
-    assert not s.has_fired[J]
+    s = line(1.0, now=2.0)
+    end, version = on_timer(s, J, p)
+    assert version is not None and end == 3.0
+    on_message(s, J, p, version)
+    assert on_timer(s, J, p)[1] is None
+    start_interval(s, J, p, end, random.Random(0))
+    assert on_timer(s, J, p) == (4.0, version)
 
 
 def test_eta_half_window_equals_original_for_every_tau():
@@ -259,7 +259,7 @@ def test_transitions_write_only_entry_j(transition):
     if transition == "stale_ignored":
         s.tau[J] = p.tau_l
     neighbours = [entry(s, 0), entry(s, 2)]
-    lists = [s.tau, s.c, s.t, s.interval_start, s.version, s.has_fired]
+    lists = [s.tau, s.c, s.interval_start, s.version]
     before = entry(s)
     rnd = random.Random(0)
     if transition == "start_interval":
@@ -272,6 +272,7 @@ def test_transitions_write_only_entry_j(transition):
         on_message(s, J, p, {"consistent": 1, "adopt": 1}.get(transition, 0))
     assert [entry(s, 0), entry(s, 2)] == neighbours
     assert all(a is b for a, b in zip(
-        [s.tau, s.c, s.t, s.interval_start, s.version, s.has_fired], lists))
+        [s.tau, s.c, s.interval_start, s.version], lists))
     assert all(len(x) == 3 for x in lists)
-    assert (entry(s) == before) == (transition == "stale_ignored")
+    # a timer changes no state: the driver keeps its interval end
+    assert (entry(s) == before) == (transition in ("stale_ignored", "on_timer"))

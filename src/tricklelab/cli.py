@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ EXIT_IO_ERROR = 4
 
 GF_DP_TOL = 1e-9
 
-CSV_BLOCK = 1 << 14  # CSV rows formatted and written at a time
+CSV_BLOCK = 1 << 14  # CSV rows or JSON array items formatted and written at a time
 
 
 class EngineMismatchError(RuntimeError):
@@ -106,6 +107,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _charges(args: argparse.Namespace) -> tuple[int, int]:
+    """The (array element updates, floats of working arrays) that a query is
+    charged: bounds on its work and on its memory's growth with its size."""
+    costs = [(0, 0)]
+    if args.command in ("exact", "gf"):
+        costs.append(gf.dp_cost(args.R, args.n))
+    if args.command == "gf":
+        costs.append(gf.transform_cost(args.R, args.n))
+    if args.command in ("analyze", "compare", "sweep-eta"):
+        costs.append(analytics.solve_cost(args.R))
+    if args.command == "sweep-eta":
+        # a grid point takes 24-44 B of traced peak memory in either format
+        # (its columns, and its record in JSON), charged 72 B
+        costs.append((0, 9 * args.steps))
+    if args.command in ("simulate", "compare"):
+        # traced peak memory per replication at R = 5, n = 250: 16 B for
+        # simulate in either format (the two sample arrays) and 80 B for compare
+        costs.append((0, (10 if args.command == "compare" else 2) * args.reps))
+        if args.engine == "protocol":
+            # one event's node arrays, epochs, update times and queue: 357 B
+            # of peak memory per node at R = 30, k = 1 (each broadcast adds
+            # about 120 B, a count bounded only by the event's time)
+            costs.append((0, 45 * (args.n + 1)))
+        if args.engine == "renewal":
+            # a lane-step takes 10-23 ns and a block's lockstep step 7-22 us,
+            # by machine load: about 5 and 4000 updates
+            blocks = -(-args.reps // RENEWAL_BLOCK)
+            costs.append((gf.max_hops(args.R, args.n) * (5 * args.reps + 4000 * blocks), 0))
+    return tuple(map(sum, zip(*costs)))
+
+
 def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if getattr(args, "R", 1) < 1:
         parser.error(f"--R must be >= 1, got {args.R}")
@@ -131,38 +163,11 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
     if args.command == "gf" and args.n > gf.TRANSFORM_MAX_N:
         parser.error(f"gf --n {args.n} is over the accuracy limit of {gf.TRANSFORM_MAX_N}: its "
                      "delay variance E[T^2] - E[T]^2 cancels as n grows; use exact")
-    costs = []
-    if args.command in ("exact", "gf"):
-        costs.append(gf.dp_cost(args.R, args.n))
-    if args.command == "gf":
-        costs.append(gf.transform_cost(args.R, args.n))
-    if args.command in ("analyze", "compare", "sweep-eta"):
-        costs.append(analytics.solve_cost(args.R))
-    if args.command == "sweep-eta":
-        # a grid point takes about 1.1 kB as JSON dicts and text, and 37-43 B
-        # of peak memory as CSV columns, charged 72 B
-        costs.append((0, (9 if args.output_format == "csv" else 160) * args.steps))
-    if args.command in ("simulate", "compare"):
-        # peak memory per replication, measured at R = 5, n = 250: 16 B for
-        # CSV simulate, 240 B for JSON simulate and 80 B for compare
-        per_rep = 10 if args.command == "compare" else 2 if args.output_format == "csv" else 30
-        costs.append((0, per_rep * args.reps))
-        if args.engine == "protocol":
-            # one event's node arrays, epochs, update times and queue: 357 B
-            # of peak memory per node at R = 30, k = 1 (each broadcast adds
-            # about 120 B, a count bounded only by the event's time)
-            costs.append((0, 45 * (args.n + 1)))
-        if args.engine == "renewal":
-            # a lane-step takes 10-23 ns and a block's lockstep step 7-22 us,
-            # by machine load: about 5 and 4000 updates
-            blocks = -(-args.reps // RENEWAL_BLOCK)
-            costs.append((gf.max_hops(args.R, args.n) * (5 * args.reps + 4000 * blocks), 0))
-    if costs:
-        work, cells = map(sum, zip(*costs))
-        if work > gf.MAX_WORK or cells > gf.MAX_CELLS:
-            parser.error(f"this {args.command} query needs up to {work:.1e} array element "
-                         f"updates and {cells:.1e} floats of working arrays, over the "
-                         f"limits of {gf.MAX_WORK:.0e} and {gf.MAX_CELLS:.0e}")
+    work, cells = _charges(args)
+    if work > gf.MAX_WORK or cells > gf.MAX_CELLS:
+        parser.error(f"this {args.command} query needs up to {work:.1e} array element "
+                     f"updates and {cells:.1e} floats of working arrays, over the "
+                     f"limits of {gf.MAX_WORK:.0e} and {gf.MAX_CELLS:.0e}")
     tau_h = getattr(args, "tau_h", math.inf)
     if not tau_h >= 1.0:  # tau_l is 1; also rejects NaN
         parser.error(f"--tau-h must be >= 1 (tau_l), got {tau_h}")
@@ -182,12 +187,118 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
 # --- output -------------------------------------------------------------------
 
 
+def _cells(columns, lo: int) -> list:
+    """The cells of rows lo .. lo + CSV_BLOCK - 1 of the columns in row-major
+    order; an array's values become Python ints and floats."""
+    cells = np.empty((min(CSV_BLOCK, len(columns[0]) - lo), len(columns)), dtype=object)
+    for j, column in enumerate(columns):
+        cells[:, j] = column[lo:lo + CSV_BLOCK]
+    return cells.ravel().tolist()
+
+
+def _json_block(fields, lo: int, item: str, sep: str, plain: bool) -> str:
+    """Items lo .. lo + CSV_BLOCK - 1 of the fields as _json_array writes them
+    (a function of its own, so that a block's values are freed before the
+    next block's are made)."""
+    cells = _cells(fields, lo) if len(fields) > 1 else fields[0][lo:lo + CSV_BLOCK].ravel().tolist()
+    if not (plain and math.isfinite(sum(cells))):
+        cells = map(json.dumps, cells)  # NaN, Infinity, true: json's own text
+    return sep.join([item] * min(CSV_BLOCK, len(fields[0]) - lo)) % tuple(cells)
+
+
+def _layout(brackets: str, items: list[str], pad: str) -> str:
+    """The item texts as json.dumps(indent=2) lays them out in brackets, on
+    lines indented one level under pad."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _json_array(write, array: np.ndarray, pad: str) -> None:
+    """Write the text of a numpy array's .tolist() as json.dumps(indent=2)
+    writes it at indentation pad, CSV_BLOCK items at a time; a structured
+    array is written as a list of flat dicts keyed by its field names.
+
+    An item is a value (1-D), a row (2-D) or a record, and a block is one %
+    operation: the item template, with a %s per value, joined by the item
+    separator once per item and applied to the block's values in row-major
+    order.  %s is str(), which is json's float and int text for finite Python
+    floats and ints; a block of bools, or whose values do not sum to a finite
+    float (NaN, +-inf, or a sum past the float range), is written through
+    json's own encoder, one value at a time.
+    """
+    names = array.dtype.names
+    fields = [array[name] for name in names] if names else [array]
+    kinds = {field.dtype.kind for field in fields}
+    if not (array.ndim == 1 if names else 0 < array.ndim <= 2) or not kinds <= set("biuf"):
+        _json_write(write, array.tolist(), pad)
+        return
+    if not len(array):
+        write("[]")
+        return
+    inner = pad + "  "
+    if names:
+        item = _layout("{}", [json.dumps(name).replace("%", "%%") + ": %s" for name in names],
+                       inner)
+    else:
+        item = "%s" if array.ndim == 1 else _layout("[]", ["%s"] * array.shape[1], inner)
+    sep = ",\n" + inner
+    for lo in range(0, len(array), CSV_BLOCK):
+        write(sep if lo else "[\n" + inner)
+        write(_json_block(fields, lo, item, sep, "b" not in kinds))
+    write("\n" + pad + "]")
+
+
+@functools.cache
+def _encoder(sep: str):
+    """json's C encoder with sep between items, one per nesting depth."""
+    return json.JSONEncoder(separators=(sep, ": ")).encode
+
+
+def _json_write(write, value, pad: str) -> None:
+    """Write the text of json.dumps(value, indent=2) as nested at indentation
+    pad, with each numpy array in value written as its .tolist() by
+    _json_array.  Dict keys are strings.  A run of items that are neither
+    arrays nor containers is one call of json's C encoder, with the
+    separator that indentation puts between items."""
+    if isinstance(value, np.ndarray):
+        _json_array(write, value, pad)
+        return
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        write(json.dumps(value))
+        return
+    if not value:
+        write("{}" if is_dict else "[]")
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    head = ("{" if is_dict else "[") + "\n" + inner
+    items = value.items() if is_dict else enumerate(value)
+    containers = (np.ndarray, dict, list, tuple)
+    for nested, run in itertools.groupby(items, lambda item: isinstance(item[1], containers)):
+        if not nested:
+            run = dict(run) if is_dict else [item for _, item in run]
+            write(head + _encoder(sep)(run)[1:-1])
+            head = sep
+            continue
+        for key, item in run:
+            write(head + json.dumps(key) + ": " if is_dict else head)
+            _json_write(write, item, inner)
+            head = sep
+    write("\n" + pad + ("}" if is_dict else "]"))
+
+
 def emit(result, out_path: str | None) -> None:
     """Write a command's result: a JSON payload (a dict), or a CSV
-    (header, columns) pair written CSV_BLOCK rows at a time.
+    (header, columns) pair, each written CSV_BLOCK rows or array items at a
+    time as soon as they are formatted.
 
-    A CSV cell is str() of a Python int, float or string, and a block is one
-    % operation: the row template "%s,...,%s\\n" repeated once per row, applied
+    JSON is byte for byte json.dumps(payload, indent=2) + "\\n" with each
+    numpy array in the payload as its .tolist() (see _json_array).  A CSV
+    cell is str() of a Python int, float or string, and a block is one %
+    operation: the row template "%s,...,%s\\n" repeated once per row, applied
     to the block's cells in row-major order.  numpy columns are converted
     block by block, so the text of one block at a time is held.
     """
@@ -195,18 +306,14 @@ def emit(result, out_path: str | None) -> None:
         with (contextlib.nullcontext(sys.stdout) if out_path is None
               else open(out_path, "w", newline="")) as fh:
             if isinstance(result, dict):
-                fh.write(json.dumps(result, indent=2) + "\n")
+                _json_write(fh.write, result, "")
+                fh.write("\n")
                 return
             header, columns = result
             fh.write(",".join(header) + "\n")
-            width = len(columns)
-            row = ",".join(["%s"] * width) + "\n"
+            row = ",".join(["%s"] * len(columns)) + "\n"
             for lo in range(0, len(columns[0]), CSV_BLOCK):
-                cells = np.empty((min(CSV_BLOCK, len(columns[0]) - lo), width), dtype=object)
-                for j, column in enumerate(columns):
-                    # an array's values become Python ints and floats
-                    cells[:, j] = column[lo:lo + CSV_BLOCK]
-                fh.write(row * len(cells) % tuple(cells.ravel().tolist()))
+                fh.write(row * min(CSV_BLOCK, len(columns[0]) - lo) % tuple(_cells(columns, lo)))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO_ERROR)
@@ -234,7 +341,7 @@ def _cmd_analyze(args):
     }
     if args.output_format == "csv":
         return list(scalars), [[v] for v in scalars.values()]
-    return {**scalars, "Z": stats.Z.tolist(), "M": stats.M.tolist()}
+    return {**scalars, "Z": stats.Z, "M": stats.M}
 
 
 def _pmf_result(args, pmf, mean, variance, *dp_pmf):
@@ -242,7 +349,7 @@ def _pmf_result(args, pmf, mean, variance, *dp_pmf):
         header = ["m", "probability", "dp_probability"][:2 + len(dp_pmf)]
         return header, [range(len(pmf)), pmf, *dp_pmf]
     return {"n": args.n, "R": args.R, "eta": args.eta, "mean": mean,
-            "variance": variance, "pmf": pmf.tolist()}
+            "variance": variance, "pmf": pmf}
 
 
 def _cmd_exact(args):
@@ -281,7 +388,7 @@ def _cmd_simulate(args):
     samples = _run_samples(args)
     if args.output_format == "csv":
         return ["rep", "H", "T"], [range(args.reps), samples.h_samples, samples.t_samples]
-    return {**samples.meta, "H": samples.h_samples.tolist(), "T": samples.t_samples.tolist()}
+    return {**samples.meta, "H": samples.h_samples, "T": samples.t_samples}
 
 
 def _cmd_compare(args):
@@ -313,9 +420,12 @@ def _cmd_sweep_eta(args):
     if args.output_format == "csv":
         return (["eta", "delay_rate", "sigma_T_sq", "kind"],
                 [*columns, ["grid"] * args.steps + ["argmin"]])
-    points = [{"eta": e, "delay_rate": d, "sigma_T_sq": s}
-              for e, d, s in zip(*(c.tolist() for c in columns))]
-    return {"R": args.R, "steps": args.steps, "grid": points[:-1], "argmin": points[-1]}
+    keys = ["eta", "delay_rate", "sigma_T_sq"]
+    points = np.empty(args.steps + 1, dtype=[(key, float) for key in keys])  # one record a point
+    for key, column in zip(keys, columns):
+        points[key] = column
+    return {"R": args.R, "steps": args.steps, "grid": points[:-1],
+            "argmin": dict(zip(keys, points[-1].item()))}
 
 
 _COMMANDS = {

@@ -265,7 +265,9 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
         acc = 0.0
         for k in range(R - rows, keep):
             acc = np.add(acc, held[R - 1 - k], out=moved[k, :, k:k + width])
-        absorbed.append(moved[:, :, n - lo:].sum(axis=(0, 2)))
+        # no band column reaches n until width + keep - 1 > n - lo
+        absorbed.append(moved[:, :, n - lo:].sum(axis=(0, 2)) if width + keep - 1 > n - lo
+                        else np.zeros(3))
         if keep < R:  # sizes above keep absorb whole; row i of held reaches this many
             whole = np.minimum(np.arange(1, rows + 1), R - max(keep, R - rows))
             absorbed[-1] += whole @ held.sum(axis=2)

@@ -2,16 +2,20 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tricklelab import analytics, cli, gf
 from tricklelab.cli import main
@@ -283,14 +287,23 @@ class TestSweepEta:
         assert abs(data["argmin"]["eta"] - 0.26) <= 0.03
 
     def test_grid_limit_is_charged_by_output_format(self, capsys):
-        # CSV columns take tens of bytes a point, JSON dicts and text about 1.1 kB
+        # CSV columns and JSON records alike take tens of bytes a point, so
+        # both formats are charged 72 B a point and share the first refused size
         code, out, _ = run_cli(capsys, "sweep-eta", "--R", "5", "--steps", "100000")
         assert code == 0
         assert out.count("\n") == 1 + 100_001  # header, grid points, argmin
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep-eta", "--R", "5", "--steps", "100000", "--format", "json"])
-        assert exc.value.code == 2
-        assert "over the limit" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "sweep-eta", "--R", "5", "--steps", "100000",
+                               "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["grid"]) == 100_000
+        parser = cli.build_parser()
+        for output_format in ("csv", "json"):
+            argv = ["sweep-eta", "--R", "5", "--format", output_format, "--steps"]
+            cli._validate(parser.parse_args([*argv, "1111000"]), parser)  # admitted
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "1111001"])
+            assert exc.value.code == 2
+            assert "over the limit" in capsys.readouterr().err
 
 
 def cell(value) -> str:
@@ -338,6 +351,93 @@ def test_csv_bytes_match_golden_digest(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("analyze", "--R", "30"),
+     "1afaa24cb907121b1d0e327ff1800d5d74f221ed1579b57e13fd5ab0a93f4e75"),
+    (("exact", "--R", "2", "--n", "1500"),
+     "1a24904da3ceabad96117fcada458859fbae989dc83b4f59d30a9613ec4d1c8b"),
+    (("sweep-eta", "--R", "5", "--steps", str(cli.CSV_BLOCK + 5)),
+     "d5daec9932a5342d8769c2d88bd562ec76923748040a598cdc3831a8fc35f4f8"),
+    # two blocks of H and of T
+    (("simulate", "--R", "5", "--n", "40", "--eta", "0.5",
+      "--reps", str(cli.CSV_BLOCK + 5), "--seed", "3"),
+     "3e86f24ea4c6d5fd6661e1a414bd47cbd2cdfb8cbc17b5ee934c49ab4ea25eae"),
+    # its ks_T is null
+    (("compare", "--R", "1", "--n", "5", "--eta", "1", "--reps", "10", "--seed", "2"),
+     "470a130cee1fc5f81fb0dd1757a3350d7e075703f009f13e3e02777cdb22ce53"),
+], ids=["analyze", "exact", "sweep-eta", "simulate", "compare"])
+def test_json_bytes_match_golden_digest(capsys, argv, digest):
+    # digests of json.dumps(indent=2) of the payloads as Python lists
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def as_lists(value):
+    """A payload with each numpy array as its .tolist(), a structured array
+    as a list of dicts keyed by its field names."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.names:
+            return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+# 1e308 twice in a block sums past the float range
+SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e16, 1e-7, 5e-324,
+                                  1e308])
+JSON_FLOATS = SPECIAL_FLOATS | st.floats(allow_nan=True, allow_infinity=True)
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | JSON_FLOATS
+                | st.text(max_size=8) | st.sampled_from(["é", "日本", "a\"b\\", "%s", "\n"])
+                | JSON_FLOATS.map(np.float64))
+ELEMENTS = {"float64": JSON_FLOATS, "float32": st.floats(width=32),
+            "int64": st.integers(-2**63, 2**63 - 1), "uint8": st.integers(0, 255),
+            "bool": st.booleans()}
+LENGTHS = st.integers(0, 9)
+
+
+@st.composite
+def json_arrays(draw):
+    dtype = draw(st.sampled_from(sorted(ELEMENTS)))
+    kind = draw(st.sampled_from(["1-D", "2-D", "records"]))
+    if kind == "records":
+        names = draw(st.lists(st.text(min_size=1, max_size=4) | st.sampled_from(["%", "é"]),
+                              min_size=1, max_size=3, unique=True))
+        dtypes = draw(st.lists(st.sampled_from(sorted(ELEMENTS)), min_size=len(names),
+                               max_size=len(names)))
+        array = np.empty(draw(LENGTHS), dtype=list(zip(names, dtypes)))
+        for name, field_dtype in zip(names, dtypes):
+            array[name] = draw(hnp.arrays(field_dtype, len(array),
+                                          elements=ELEMENTS[field_dtype]))
+        return array
+    shape = draw(LENGTHS) if kind == "1-D" else (draw(LENGTHS), draw(st.integers(0, 3)))
+    return draw(hnp.arrays(dtype, shape, elements=ELEMENTS[dtype]))
+
+
+JSON_PAYLOADS = st.recursive(
+    JSON_SCALARS | json_arrays(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.dictionaries(st.text(max_size=5), JSON_PAYLOADS, max_size=5),
+       st.sampled_from([1, 2, 3, cli.CSV_BLOCK]))
+def test_json_writer_matches_json_dumps(payload, block):
+    # small blocks put the arrays across block boundaries
+    out = io.StringIO()
+    with mock.patch.object(cli, "CSV_BLOCK", block), contextlib.redirect_stdout(out):
+        cli.emit(payload, None)
+    assert out.getvalue() == json.dumps(as_lists(payload), indent=2) + "\n"
 
 
 def test_cached_parser_carries_nothing_between_queries(capsys, monkeypatch):
@@ -390,10 +490,10 @@ class TestValidation:
         ("compare", "--R", "501", "--n", "5", "--reps", "2"),
         ("analyze", "--R", "30000"),
         ("sweep-eta", "--R", "3", "--steps", "10000000000000"),    # grid over gf.MAX_CELLS
-        ("sweep-eta", "--R", "5", "--steps", "100000", "--format", "json"),
+        ("sweep-eta", "--R", "5", "--steps", "1111001", "--format", "json"),  # cells
         ("compare", "--R", "3", "--n", "10", "--reps", "10000000000000"),
         ("simulate", "--R", "5", "--n", "250", "--reps", "2500000"),           # over gf.MAX_WORK
-        ("simulate", "--R", "5", "--n", "250", "--reps", "340000", "--format", "json"),  # cells
+        ("simulate", "--R", "5", "--n", "250", "--reps", "2296839", "--format", "json"),  # work
         ("simulate", "--R", "5", "--n", "2000000", "--reps", "1"),             # lockstep steps
         ("simulate", "--R", "3", "--n", "10", "--reps", "10000000000000", "--engine", "protocol"),
         ("simulate", "--R", "5", "--n", "1000000000", "--reps", "1", "--engine", "protocol"),
@@ -442,7 +542,7 @@ class TestValidation:
         monkeypatch.setattr(cli, "monte_carlo", unreachable)
         for argv in (["simulate", "--R", "3", "--n", "10", "--reps", "10000000000000"],
                      ["compare", "--R", "5", "--n", "250", "--reps", "1000000"],
-                     ["simulate", "--R", "5", "--n", "250", "--reps", "1000000",
+                     ["simulate", "--R", "5", "--n", "250", "--reps", "2296839",
                       "--format", "json"],
                      ["simulate", "--R", "5", "--n", "1000000000", "--reps", "1",
                       "--engine", "protocol"]):
@@ -458,10 +558,38 @@ class TestValidation:
         ("simulate", "--R", "30", "--n", "250", "--reps", "10000", "--format", "json"),
         ("simulate", "--R", "5", "--n", "100", "--reps", "400", "--engine", "protocol"),
         ("simulate", "--R", "1", "--n", "200000", "--reps", "1"),
+        ("simulate", "--R", "5", "--n", "250", "--reps", "2296838", "--format", "json"),
     ])
     def test_sampling_limits_admit_the_queries_in_use(self, argv):
         parser = cli.build_parser()
         cli._validate(parser.parse_args(argv), parser)  # raises SystemExit if refused
+
+    @pytest.mark.parametrize("argv, sizes", [
+        (("simulate", "--R", "5", "--n", "250", "--seed", "1", "--reps"), (20_000, 60_000)),
+        (("compare", "--R", "5", "--n", "250", "--seed", "1", "--reps"), (20_000, 60_000)),
+        (("sweep-eta", "--R", "5", "--steps"), (20_000, 60_000)),
+        (("analyze", "--R"), (100, 300)),
+        (("exact", "--R", "5", "--n"), (500, 1500)),
+        (("gf", "--R", "5", "--n"), (100, 400)),
+    ], ids=["simulate", "compare", "sweep-eta", "analyze", "exact", "gf"])
+    @pytest.mark.parametrize("output_format", ["csv", "json"])
+    def test_charged_floats_cover_the_growth_of_the_traced_peak(self, argv, sizes,
+                                                                output_format):
+        # the floats charged bound how the peak grows with a query's size;
+        # one block of output, a few MB at most, is not charged, and 64 KiB
+        # cover allocations that differ between sizes but do not grow with them
+        parser = cli.build_parser()
+        peaks, charged = [], []
+        for size in sizes:
+            argv_at = [*argv, str(size), "--format", output_format, "--out", os.devnull]
+            charged.append(8 * cli._charges(parser.parse_args(argv_at))[1])
+            tracemalloc.start()
+            try:
+                assert main(argv_at) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= charged[1] - charged[0] + (64 << 10), (peaks, charged)
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--R", "500"),                  # the largest R admitted

@@ -108,10 +108,11 @@ def delta_covariance(R: int, eta: float) -> float:
 def solve_cost(R: int) -> tuple[int, int]:
     """Upper bounds on the (element updates, floats of working memory) of
     solve_chain(R) and the R x R matrices Z and M that analyze writes out: an
-    LU solve against R right-hand sides, and 320 bytes per matrix element
-    (JSON analyze at R = 500 peaks at 97 B of traced memory per element:
-    the arrays and the text and values of one block of rows)."""
-    return 2 * R**3, 40 * R * R
+    LU solve against R right-hand sides, and 120 bytes per matrix element
+    (JSON analyze at R = 300 and 500 peaks at 97 B of traced memory per
+    element: the arrays and the text and values of one block of rows; CSV
+    at 33 B).  So the work limit alone bounds R, at 793."""
+    return 2 * R**3, 15 * R * R
 
 
 @dataclass(frozen=True, slots=True)

@@ -11,14 +11,16 @@ Two independent routes to the same laws:
   series at size n), sums each state's visits less their step.  One step
   function per mode, a hop-column shift or the product with a Toeplitz
   matrix of holding-time moments, serves both the pass and the master;
-* a dynamic-programming route: one forward pass over (last update size,
-  nodes covered) that carries the probability and the first two moments of
-  elapsed time together, yielding the hop pmf and the delay mean and
-  variance at once; used as the accuracy oracle.  The mass reaching each
-  next size is a suffix sum over the current sizes and only the live band
-  of coverage rows is kept, so a step costs O(min(R, n) * band), band <= n,
-  and a query O(n^2) in all; the transform route costs O(n min(R, n) M),
-  with M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
+* a dynamic-programming route: one forward pass over hops, on (last update
+  size, nodes covered), that carries the probability and the first two
+  moments of elapsed time together, yielding the hop pmf and the delay mean
+  and variance at once; used as the accuracy oracle.  The mass reaching
+  each next size is a suffix sum over the current sizes, which one matrix
+  product per hop forms for every size at once, and only the live band of
+  coverage columns is kept, so a hop costs O(min(R, n) * band), band <= n,
+  in a number of numpy calls that does not grow with min(R, n) while the
+  band is narrow.  Both routes cost O(n min(R, n) M) per query, with
+  M = max_hops(R, n) about 2n / (R + 1) the largest possible hop count.
 
 Both routes see R only through min(R, n) and the offset R - k of the sizes
 that can move to size k, so their cost and arrays do not grow with R.
@@ -231,6 +233,14 @@ def delay_moments_gf(R: int, eta: float, n: int) -> tuple[float, float]:
     return row[1], row[2] * 2.0
 
 
+# The DP steps its band in one dense product over every size while the band
+# holds at most _BAND_CELLS (size, column) cells, about one numpy call's worth
+# of arithmetic, and rescans it for underflowed columns after that many.  The
+# dense block matrices hold 9 S^2 floats, so they serve at most _DENSE_SIZES.
+_BAND_CELLS = 4096
+_DENSE_SIZES = 32
+
+
 def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     """Exact hop-count pmf and delay (mean, variance) at size n by one forward
     dynamic-programming pass (the oracle for the transform route).
@@ -239,59 +249,94 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     uniform on {R - u + 1, ..., R} after a holding time nu_u; absorb once
     coverage reaches n.  A state carries its probability and unnormalized
     first two moments of the time elapsed less kappa (the stationary mean
-    holding time) per hop, so the variance needs no E[T^2] - E[T]^2.  Mass
-    moves to size u' as a suffix sum over u >= R - u' + 1; only sizes u <= n
-    and the live band of coverage rows are kept: a step costs O(min(R, n) *
-    band), band <= n.  Entry m of the pmf is P[hop count = m], m = 0 ..
-    max_hops(R, n).
+    holding time) per hop, so the variance needs no E[T^2] - E[T]^2.  Only
+    sizes u <= S = min(R, n) and the live band of coverage columns are kept.
+    Mass moves to size u' as a suffix sum over u >= R - u' + 1, which one
+    matrix product per hop forms, written straight into a skewed view of the
+    next band (size u' lands u' columns on): while the band is narrow, one
+    dense product over every size; once it is wide, S products of 3 x 3 in
+    one call and a running sum of S - 1 adds.  A hop costs O(S * band) with
+    band <= n, a query O(S n max_hops(R, n)).  Entry m of the pmf is
+    P[hop count = m], m = 0 .. max_hops(R, n).
     """
     _check_query(R, n, eta)
-    u = np.arange(1, min(R, n) + 1)  # a live size is at most the coverage
+    S = min(R, n)
+    u = np.arange(1, S + 1)  # a live size is at most the coverage
     e1, e2 = (np.array([step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
     kappa = e1 @ u / u.sum()  # stationary weights are proportional to u
     # step[u - 1] takes (probability, first, second moment) through one
     # holding time nu_u - kappa (moments a, b) and splits it over u next sizes
     step = np.array([[[1.0, 0.0, 0.0], [a, 1.0, 0.0], [b, 2.0 * a, 1.0]] for a, b in
                      zip(e1 - kappa, e2 - 2.0 * kappa * e1 + kappa * kappa)]) / u[:, None, None]
-    mass = np.array([[[1.0], [0.0], [0.0]]])  # mass[u - 1, :, a - lo]; the seed: u = 1, a = 0
-    lo, absorbed = 0, []
-    while True:
-        rows, _, width = mass.shape
-        held = step[:rows] @ mass
+    # a product is (blocks, matrices, sizes per block): output block b takes
+    # source block b counted from the top size down, and each later block
+    # adds the last row of the one before, a running sum
+    per_size = (S, step[::-1, None], 1)
+    dense = per_size
+    if S <= _DENSE_SIZES:  # size k + 1 takes step[i] @ mass[i] for i >= S - 1 - k
+        reach = u[:, None] + u >= S + 1
+        matrices = np.where(reach[:, None, :, None], step.transpose(1, 0, 2), 0.0)
+        dense = (1, matrices.reshape(1, S, 3, 3 * S), S)
+    # mass[u - 1, :, a - lo]; the first broadcast, by the seed u = 1 at a = 0,
+    # updates R nodes
+    mass = np.zeros((S, 3, 1))
+    mass[-1] = step[0, :, :1]
+    hops = max_hops(R, n)
+    absorbed = np.zeros((hops + 1, 3))  # by hop count; once live mass underflows, zeros
+    if n <= R:
+        absorbed[1] = mass[-1, :, 0]
+    lo, since = R, 0
+    for m in range(2, hops + 1):
+        width = mass.shape[2]
+        blocks, matrices, sizes = dense if S * width <= _BAND_CELLS else per_size
         lo += 1
-        keep = min(R, n - lo)  # next sizes that can stay live
-        # moved[u' - 1, :, a + u' - lo]: held summed over u >= R - u' + 1
-        moved = np.zeros((keep, 3, width + keep - 1))
-        acc = 0.0
-        for k in range(R - rows, keep):
-            acc = np.add(acc, held[R - 1 - k], out=moved[k, :, k:k + width])
-        # no band column reaches n until width + keep - 1 > n - lo
-        absorbed.append(moved[:, :, n - lo:].sum(axis=(0, 2)) if width + keep - 1 > n - lo
-                        else np.zeros(3))
-        if keep < R:  # sizes above keep absorb whole; row i of held reaches this many
-            whole = np.minimum(np.arange(1, rows + 1), R - max(keep, R - rows))
-            absorbed[-1] += whole @ held.sum(axis=2)
-        live = np.flatnonzero(moved[:, 0, :n - lo].any(axis=0))
-        if not live.size:
+        cut = n - lo  # the band columns from cut on cover n
+        keep = min(S, cut)  # next sizes that can stay live
+        W = width + S - 1
+        flat = np.zeros(S * (3 * W + 1))
+        moved = flat[:3 * S * W].reshape(S, 3, W)
+        # row k of a flat (S, 3 W + 1) view starts k columns further on in moved
+        skew = flat.reshape(S, 3 * W + 1)[:, :3 * W].reshape(blocks, sizes, 3, W)[..., :width]
+        np.matmul(matrices, mass.reshape(blocks, 3 * sizes, width)[::-1, None], out=skew)
+        for b in range(1, blocks):
+            skew[b] += skew[b - 1, -1]
+        if W > cut:  # some band column reaches n
+            moved[:keep, :, cut:].sum(axis=(0, 2), out=absorbed[m])
+        if keep < S:  # sizes above keep absorb whole; size i reaches this many
+            absorbed[m] += np.minimum(u, S - keep) @ (step @ mass.sum(axis=2)[..., None])[..., 0]
+        first, last = 0, min(W, cut)
+        since += S * width
+        if since >= _BAND_CELLS:  # trim the columns whose probability is 0.0
+            live = np.flatnonzero(moved[:keep, 0, :last].any(axis=0))
+            if not live.size:
+                break
+            since, first, last = 0, live[0], live[-1] + 1
+        if last <= first:
             break
-        mass = moved[:, :, live[0]:live[-1] + 1]
-        lo += live[0]
-    pmf, x1, x2 = np.array([np.zeros(3)] + absorbed).T.copy()
-    shift = kappa * np.arange(len(pmf))  # T = X + kappa * m on {hop count = m}
+        mass = moved[:, :, first:last]
+        lo += first
+    pmf, x1, x2 = absorbed.T.copy()
+    shift = kappa * np.arange(hops + 1)  # T = X + kappa * m on {hop count = m}
     mean = (x1 + shift * pmf).sum() / pmf.sum()
     d = shift - mean
     variance = (x2 + 2.0 * d * x1 + d * d * pmf).sum() / pmf.sum()
-    # the pass stops once the live mass underflows to 0.0; the rest are zeros
-    return np.pad(pmf, (0, max_hops(R, n) + 1 - len(pmf))), mean, variance
+    return pmf, mean, variance
 
 
 def dp_cost(R: int, n: int) -> tuple[int, int]:
     """Upper bounds on the (cell updates, floats of working arrays) of
-    exact_law_dp(R, eta, n).  Each of its max_hops(R, n) steps holds at most
-    min(R, n) sizes of 3 moments over the band and its shifted copy, each at
-    most n rows wide."""
-    sizes = min(R, n)
-    return sizes * n * max_hops(R, n), 6 * sizes * n
+    exact_law_dp(R, eta, n), S = min(R, n).  Each of its max_hops(R, n) hops
+    updates at most S cells per coverage column, n columns; the dense
+    product's 3 S multiply-adds per moment serve only bands of at most
+    _BAND_CELLS cells, where a hop takes at most about 1.5 times as long as
+    by the per-size product (far less on narrower bands).  After the first
+    hop the coverage is at least R, so each of the two skewed bands a hop
+    holds is at most S (3 (n - 1) + 1) floats; add the steps and moments
+    (12 S), the dense block matrices and their copy in forming them
+    (18 S^2) and 6 floats per hop in and out."""
+    S, hops = min(R, n), max_hops(R, n)
+    dense = 18 * S * S if S <= _DENSE_SIZES else 0
+    return S * n * hops, 6 * S * n + 12 * S + dense + 6 * (hops + 1)
 
 
 def transform_cost(R: int, n: int) -> tuple[int, int]:

@@ -5,7 +5,8 @@ of the closed-form stationary law, chain-power sums and per-eta matrix
 products instead of the closed forms and the eta-free quadratic in
 tricklelab.analytics, a simulated stationary chain instead of the exact
 variance rate, a rational sum over every path instead of the exact-law
-dynamic program, Jacobi sweeps in the series ring instead of the forward
+dynamic program, the same program with one add per update size instead of
+its product per hop, Jacobi sweeps in the series ring instead of the forward
 pass over node rows that solves the visit system, the master series summed
 in the series ring instead of over arrays, and a protocol event loop
 that keeps one immutable state object per node instead of the library's
@@ -215,6 +216,47 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
 
     walk(1, 0, 0, Fraction(1), Fraction(0), Fraction(0))
     return pmf, moments[0], moments[1] - moments[0] ** 2
+
+
+def exact_law_by_suffix_adds(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
+    """The forward pass of tricklelab.gf.exact_law_dp with one numpy add per
+    next size: each hop steps every size through its 3 x 3 matrix, then
+    forms the suffix sum that reaches size u' one size at a time into a
+    shifted copy of the band, and rescans the live band for columns whose
+    probability is 0.0.  Only the sizes that hold mass are stepped."""
+    u = np.arange(1, min(R, n) + 1)
+    e1, e2 = (np.array([gf.step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
+    kappa = e1 @ u / u.sum()
+    step = np.array([[[1.0, 0.0, 0.0], [a, 1.0, 0.0], [b, 2.0 * a, 1.0]] for a, b in
+                     zip(e1 - kappa, e2 - 2.0 * kappa * e1 + kappa * kappa)]) / u[:, None, None]
+    mass = np.array([[[1.0], [0.0], [0.0]]])  # mass[u - 1, :, a - lo]; the seed: u = 1, a = 0
+    lo, absorbed = 0, []
+    while True:
+        rows, _, width = mass.shape
+        held = step[:rows] @ mass
+        lo += 1
+        keep = min(R, n - lo)  # next sizes that can stay live
+        # moved[u' - 1, :, a + u' - lo]: held summed over u >= R - u' + 1
+        moved = np.zeros((keep, 3, width + keep - 1))
+        acc = 0.0
+        for k in range(R - rows, keep):
+            acc = np.add(acc, held[R - 1 - k], out=moved[k, :, k:k + width])
+        absorbed.append(moved[:, :, n - lo:].sum(axis=(0, 2)))
+        if keep < R:  # sizes above keep absorb whole; row i of held reaches this many
+            whole = np.minimum(np.arange(1, rows + 1), R - max(keep, R - rows))
+            absorbed[-1] += whole @ held.sum(axis=2)
+        live = np.flatnonzero(moved[:, 0, :n - lo].any(axis=0))
+        if not live.size:
+            break
+        mass = moved[:, :, live[0]:live[-1] + 1]
+        lo += live[0]
+    pmf, x1, x2 = np.array([np.zeros(3)] + absorbed).T.copy()
+    shift = kappa * np.arange(len(pmf))  # T = X + kappa * m on {hop count = m}
+    mean = (x1 + shift * pmf).sum() / pmf.sum()
+    d = shift - mean
+    variance = (x2 + 2.0 * d * x1 + d * d * pmf).sum() / pmf.sum()
+    # the pass stops once the live mass underflows to 0.0; the rest are zeros
+    return np.pad(pmf, (0, gf.max_hops(R, n) + 1 - len(pmf))), mean, variance
 
 
 def _ring_step(degree: int, eta: float | None, states: int):

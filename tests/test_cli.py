@@ -299,9 +299,9 @@ class TestSweepEta:
         parser = cli.build_parser()
         for output_format in ("csv", "json"):
             argv = ["sweep-eta", "--R", "5", "--format", output_format, "--steps"]
-            cli._validate(parser.parse_args([*argv, "1111000"]), parser)  # admitted
+            cli._validate(parser.parse_args([*argv, "1111069"]), parser)  # admitted
             with pytest.raises(SystemExit) as exc:
-                main([*argv, "1111001"])
+                main([*argv, "1111070"])
             assert exc.value.code == 2
             assert "over the limit" in capsys.readouterr().err
 
@@ -485,12 +485,12 @@ class TestValidation:
         ("gf", "--R", "1", "--n", "520"),                          # the first n refused
         ("gf", "--R", "250000", "--n", "520"),                     # any R is refused over n = 519
         ("exact", "--R", "10000", "--n", "20000"),
-        ("analyze", "--R", "501"),                                 # R x R over gf.MAX_CELLS
-        ("sweep-eta", "--R", "501"),
-        ("compare", "--R", "501", "--n", "5", "--reps", "2"),
+        ("analyze", "--R", "794"),                                 # 2 R^3 over gf.MAX_WORK
+        ("sweep-eta", "--R", "794"),
+        ("compare", "--R", "794", "--n", "5", "--reps", "2"),
         ("analyze", "--R", "30000"),
         ("sweep-eta", "--R", "3", "--steps", "10000000000000"),    # grid over gf.MAX_CELLS
-        ("sweep-eta", "--R", "5", "--steps", "1111001", "--format", "json"),  # cells
+        ("sweep-eta", "--R", "5", "--steps", "1111070", "--format", "json"),  # cells
         ("compare", "--R", "3", "--n", "10", "--reps", "10000000000000"),
         ("simulate", "--R", "5", "--n", "250", "--reps", "2500000"),           # over gf.MAX_WORK
         ("simulate", "--R", "5", "--n", "250", "--reps", "2296839", "--format", "json"),  # work
@@ -528,8 +528,8 @@ class TestValidation:
                      "minimize_delay_variance", "transition_matrix"):
             monkeypatch.setattr(analytics, name, unreachable)
         monkeypatch.setattr(cli, "monte_carlo", unreachable)
-        for argv in (["analyze", "--R", "501"], ["sweep-eta", "--R", "501"],
-                     ["compare", "--R", "501", "--n", "5", "--reps", "2"],
+        for argv in (["analyze", "--R", "794"], ["sweep-eta", "--R", "794"],
+                     ["compare", "--R", "794", "--n", "5", "--reps", "2"],
                      ["sweep-eta", "--R", "3", "--steps", "10000000000000"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -570,8 +570,9 @@ class TestValidation:
         (("sweep-eta", "--R", "5", "--steps"), (20_000, 60_000)),
         (("analyze", "--R"), (100, 300)),
         (("exact", "--R", "5", "--n"), (500, 1500)),
+        (("exact", "--n", "2000", "--R"), (40, 160)),  # S = min(R, n) sizes
         (("gf", "--R", "5", "--n"), (100, 400)),
-    ], ids=["simulate", "compare", "sweep-eta", "analyze", "exact", "gf"])
+    ], ids=["simulate", "compare", "sweep-eta", "analyze", "exact", "exact-sizes", "gf"])
     @pytest.mark.parametrize("output_format", ["csv", "json"])
     def test_charged_floats_cover_the_growth_of_the_traced_peak(self, argv, sizes,
                                                                 output_format):
@@ -592,9 +593,11 @@ class TestValidation:
         assert peaks[1] - peaks[0] <= charged[1] - charged[0] + (64 << 10), (peaks, charged)
 
     @pytest.mark.parametrize("argv", [
-        ("analyze", "--R", "500"),                  # the largest R admitted
+        ("analyze", "--R", "793"),                  # the largest R admitted
         ("sweep-eta", "--R", "30", "--steps", "101"),  # the benchmark's sweeps
         ("sweep-eta", "--R", "5", "--steps", "10000"),
+        ("sweep-eta", "--R", "793"),
+        ("compare", "--R", "793", "--n", "5", "--reps", "2"),
     ])
     def test_chain_limits_admit_the_analytic_queries_in_use(self, argv):
         assert main([*argv, "--out", os.devnull]) == 0

@@ -11,7 +11,7 @@ from tricklelab import gf
 from tricklelab.analytics import transition_matrix
 from tricklelab.series import TruncatedSeries
 
-from oracles import exact_law_paths, master_by_ring, visits_by_sweeps
+from oracles import exact_law_by_suffix_adds, exact_law_paths, master_by_ring, visits_by_sweeps
 
 
 def holding_density(x, j, eta):
@@ -219,14 +219,28 @@ class TestHopLaw:
             assert gf.hop_pmf_dp(R, n).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-class TestExactLawDP:
-    """exact_law_dp against the rational sum over every path (tests/oracles.py),
-    including the band edges n <= R, n = R + 1 and R = 1."""
+PATH_SUM_CASES = [(R, n, eta) for R in range(1, 6) for n in range(1, 15)
+                  for eta in (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1))]
+# a range over gf._DENSE_SIZES steps one size at a time; at n = 40 the sizes
+# over 6 cover n at once in the second hop
+PATH_SUM_CASES += [(gf._DENSE_SIZES + 1, n, eta) for n in (40, 67)
+                   for eta in (Fraction(0), Fraction(1, 2))]
 
-    @pytest.mark.parametrize("eta", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)],
-                             ids=str)
-    @pytest.mark.parametrize("n", range(1, 15))
-    @pytest.mark.parametrize("R", range(1, 6))
+# twice the largest differences from the one-add-per-size oracle over the
+# grid of test_matches_suffix_add_oracle on one x86-64 machine (8.4e-16,
+# 4.3e-16 and 4.2e-15, at R = 3 or 8 and n = 3000), for BLAS kernels that
+# round in another order: the two passes sum in different orders, and each
+# is as close as the other to the same pass in long double
+ORACLE_PMF_ABS, ORACLE_MEAN_REL, ORACLE_VAR_REL = 2e-15, 1e-15, 1e-14
+
+
+class TestExactLawDP:
+    """exact_law_dp against the rational sum over every path and against the
+    same pass with one add per size (tests/oracles.py), including the band
+    edges n <= R, n = R + 1 and R = 1."""
+
+    @pytest.mark.parametrize("R, n, eta", PATH_SUM_CASES,
+                             ids=["-".join(map(str, case)) for case in PATH_SUM_CASES])
     def test_matches_rational_path_sum(self, R, n, eta):
         pmf, mean, var = exact_law_paths(R, eta, n)
         dp_pmf, dp_mean, dp_var = gf.exact_law_dp(R, float(eta), n)
@@ -234,6 +248,22 @@ class TestExactLawDP:
         assert np.max(np.abs(dp_pmf - np.array(pmf, dtype=float))) <= 1e-15
         assert dp_mean == pytest.approx(float(mean), rel=1e-14)
         assert dp_var == pytest.approx(float(var), rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("R", [*range(1, 11), gf._DENSE_SIZES - 1, gf._DENSE_SIZES,
+                                   gf._DENSE_SIZES + 1, 2 * gf._DENSE_SIZES + 1, 30, 100, 519])
+    def test_matches_suffix_add_oracle(self, R, eta):
+        # both products (dense while the band is narrow, per size once it is
+        # wide), n <= R (one hop), n = R + 1 (every size covers n in the
+        # second hop) and n = 3000 (the pmf's tail underflows to 0.0)
+        for n in sorted({*range(1, R + 3), 40, 519, 1500, 3000}):
+            pmf, mean, var = gf.exact_law_dp(R, eta, n)
+            ref_pmf, ref_mean, ref_var = exact_law_by_suffix_adds(R, eta, n)
+            assert len(pmf) == len(ref_pmf) == gf.max_hops(R, n) + 1
+            assert np.array_equal(pmf == 0.0, ref_pmf == 0.0)
+            assert np.max(np.abs(pmf - ref_pmf)) <= ORACLE_PMF_ABS
+            assert mean == pytest.approx(ref_mean, rel=ORACLE_MEAN_REL, abs=0.0)
+            assert var == pytest.approx(ref_var, rel=ORACLE_VAR_REL, abs=0.0)
 
     def test_steps_within_work_bound(self):
         # gf.dp_cost counts max_hops(R, n) steps

@@ -29,10 +29,8 @@ from .analytics import (
 )
 from .gf import (
     TruncationInsufficientError,
-    delay_moments_dp,
     delay_moments_gf,
     exact_law_dp,
-    hop_pmf_dp,
     hop_pmf_gf,
     solve_delay_system,
     solve_hop_system,

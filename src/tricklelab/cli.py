@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -206,19 +205,25 @@ def _json_block(fields, lo: int, item: str, sep: str, plain: bool) -> str:
     return sep.join([item] * min(CSV_BLOCK, len(fields[0]) - lo)) % tuple(cells)
 
 
-def _layout(brackets: str, items: list[str], pad: str) -> str:
-    """The item texts as json.dumps(indent=2) lays them out in brackets, on
-    lines indented one level under pad."""
+def _layout(brackets: str, items: list[str]) -> str:
+    """The item texts as json.dumps(indent=2) lays them out in brackets, as
+    an item of an array that is a payload value."""
     if not items:
         return brackets
-    inner = "\n" + pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+    return brackets[0] + "\n      " + ",\n      ".join(items) + "\n    " + brackets[1]
 
 
-def _json_array(write, array: np.ndarray, pad: str) -> None:
+def _json_text(value) -> str:
+    """json.dumps text of a payload value that is not an array: a container
+    laid out by indent=2, one level in."""
+    indent = 2 if isinstance(value, (dict, list, tuple)) else None  # None: json's C encoder
+    return json.dumps(value, indent=indent).replace("\n", "\n  ")
+
+
+def _json_array(write, array: np.ndarray) -> None:
     """Write the text of a numpy array's .tolist() as json.dumps(indent=2)
-    writes it at indentation pad, CSV_BLOCK items at a time; a structured
-    array is written as a list of flat dicts keyed by its field names.
+    writes it as a payload value, CSV_BLOCK items at a time; a structured
+    array as a list of flat dicts keyed by its field names.
 
     An item is a value (1-D), a row (2-D) or a record, and a block is one %
     operation: the item template, with a %s per value, joined by the item
@@ -226,68 +231,24 @@ def _json_array(write, array: np.ndarray, pad: str) -> None:
     order.  %s is str(), which is json's float and int text for finite Python
     floats and ints; a block of bools, or whose values do not sum to a finite
     float (NaN, +-inf, or a sum past the float range), is written through
-    json's own encoder, one value at a time.
+    json's own encoder, one value at a time.  Other arrays (empty, 0-D, 3-D
+    and up, not numeric) are written whole by _json_text.
     """
     names = array.dtype.names
     fields = [array[name] for name in names] if names else [array]
     kinds = {field.dtype.kind for field in fields}
-    if not (array.ndim == 1 if names else 0 < array.ndim <= 2) or not kinds <= set("biuf"):
-        _json_write(write, array.tolist(), pad)
+    if not (array.size and kinds <= set("biuf") and array.ndim in ((1,) if names else (1, 2))):
+        write(_json_text(array.tolist()))
         return
-    if not len(array):
-        write("[]")
-        return
-    inner = pad + "  "
     if names:
-        item = _layout("{}", [json.dumps(name).replace("%", "%%") + ": %s" for name in names],
-                       inner)
+        item = _layout("{}", [json.dumps(name).replace("%", "%%") + ": %s" for name in names])
     else:
-        item = "%s" if array.ndim == 1 else _layout("[]", ["%s"] * array.shape[1], inner)
-    sep = ",\n" + inner
+        item = "%s" if array.ndim == 1 else _layout("[]", ["%s"] * array.shape[1])
+    sep = ",\n    "
     for lo in range(0, len(array), CSV_BLOCK):
-        write(sep if lo else "[\n" + inner)
+        write(sep if lo else "[\n    ")
         write(_json_block(fields, lo, item, sep, "b" not in kinds))
-    write("\n" + pad + "]")
-
-
-@functools.cache
-def _encoder(sep: str):
-    """json's C encoder with sep between items, one per nesting depth."""
-    return json.JSONEncoder(separators=(sep, ": ")).encode
-
-
-def _json_write(write, value, pad: str) -> None:
-    """Write the text of json.dumps(value, indent=2) as nested at indentation
-    pad, with each numpy array in value written as its .tolist() by
-    _json_array.  Dict keys are strings.  A run of items that are neither
-    arrays nor containers is one call of json's C encoder, with the
-    separator that indentation puts between items."""
-    if isinstance(value, np.ndarray):
-        _json_array(write, value, pad)
-        return
-    is_dict = isinstance(value, dict)
-    if not (is_dict or isinstance(value, (list, tuple))):
-        write(json.dumps(value))
-        return
-    if not value:
-        write("{}" if is_dict else "[]")
-        return
-    inner = pad + "  "
-    sep = ",\n" + inner
-    head = ("{" if is_dict else "[") + "\n" + inner
-    items = value.items() if is_dict else enumerate(value)
-    containers = (np.ndarray, dict, list, tuple)
-    for nested, run in itertools.groupby(items, lambda item: isinstance(item[1], containers)):
-        if not nested:
-            run = dict(run) if is_dict else [item for _, item in run]
-            write(head + _encoder(sep)(run)[1:-1])
-            head = sep
-            continue
-        for key, item in run:
-            write(head + json.dumps(key) + ": " if is_dict else head)
-            _json_write(write, item, inner)
-            head = sep
-    write("\n" + pad + ("}" if is_dict else "]"))
+    write("\n  ]")
 
 
 def emit(result, out_path: str | None) -> None:
@@ -296,18 +257,27 @@ def emit(result, out_path: str | None) -> None:
     time as soon as they are formatted.
 
     JSON is byte for byte json.dumps(payload, indent=2) + "\\n" with each
-    numpy array in the payload as its .tolist() (see _json_array).  A CSV
-    cell is str() of a Python int, float or string, and a block is one %
-    operation: the row template "%s,...,%s\\n" repeated once per row, applied
-    to the block's cells in row-major order.  numpy columns are converted
-    block by block, so the text of one block at a time is held.
+    numpy array as its .tolist().  The payload is one flat object with string
+    keys, its values written one at a time: an array by _json_array, anything
+    else by _json_text (an array inside another value raises json's
+    TypeError).  A CSV cell is str() of a Python int, float or string, and a
+    block is one % operation: the row template "%s,...,%s\\n" repeated once
+    per row, applied to the block's cells in row-major order.  numpy columns
+    are converted block by block, so the text of one block at a time is held.
     """
     try:
         with (contextlib.nullcontext(sys.stdout) if out_path is None
               else open(out_path, "w", newline="")) as fh:
             if isinstance(result, dict):
-                _json_write(fh.write, result, "")
-                fh.write("\n")
+                sep = "{\n  "
+                for key, value in result.items():
+                    fh.write(sep + json.dumps(key) + ": ")
+                    if isinstance(value, np.ndarray):
+                        _json_array(fh.write, value)
+                    else:
+                        fh.write(_json_text(value))
+                    sep = ",\n  "
+                fh.write("\n}\n" if result else "{}\n")
                 return
             header, columns = result
             fh.write(",".join(header) + "\n")

@@ -62,28 +62,51 @@ TRANSFORM_MAX_N = 519
 
 
 class TruncationInsufficientError(RuntimeError):
-    """Requested coefficients are not all captured by the truncation order."""
+    """A transform-route law drifted: the hop pmf, on its exact support of
+    max_hops(R, n) + 1 entries, does not sum to 1, or the delay M(0) is not 1."""
 
 
 # --- holding-time transform -------------------------------------------------
 
 
-def step_moment(j: int, eta: float, r: int) -> float:
-    """E[nu_j^r] for the holding time nu_j = eta + (1 - eta) * Beta(1, j)."""
-    if j < 1:
+def _step_moments(j, eta: float, order: int) -> np.ndarray:
+    """step_moment(j, eta, r) for r = 0 .. order along the first axis: moment
+    r adds C(r, q) eta^(r - q) (1 - eta)^q E[Beta(1, j)^q] in order of q."""
+    j = np.asarray(j)
+    if (j < 1).any():
         raise ValueError("state index must be >= 1")
-    total = 0.0
-    for q in range(r + 1):
-        # E[Beta(1, j)^q] = q! j! / (q + j)!, without forming j! for large j
-        beta_q = math.factorial(q) / math.prod(range(j + 1, j + q + 1))
-        total += math.comb(r, q) * eta ** (r - q) * (1.0 - eta) ** q * beta_q
-    return total
+    beta, rising = [1.0], 1.0  # E[Beta(1, j)^q] = q! j! / (q + j)!
+    for q in range(1, order + 1):
+        rising = rising * (j + q)  # (j + 1) ... (j + q), exact below 2^53
+        beta.append(math.factorial(q) / rising)
+    moments = np.empty((order + 1,) + j.shape)
+    for r in range(order + 1):
+        moments[r] = sum(math.comb(r, q) * eta ** (r - q) * (1.0 - eta) ** q * beta[q]
+                         for q in range(r + 1))
+    return moments
 
 
-def holding_series(j: int, eta: float, order: int) -> np.ndarray:
+def step_moment(j, eta: float, r: int):
+    """E[nu_j^r], nu_j = eta + (1 - eta) * Beta(1, j), for an int or array of states j."""
+    return _step_moments(j, eta, r)[r]
+
+
+def holding_series(j, eta: float, order: int) -> np.ndarray:
     """Coefficients of state j's holding-time moment series,
-    sum_r E[nu_j^r] t^r / r! for r <= order."""
-    return np.array([step_moment(j, eta, r) / math.factorial(r) for r in range(order + 1)])
+    sum_r E[nu_j^r] t^r / r! for r <= order, along the first axis."""
+    moments = _step_moments(j, eta, order)
+    for r in range(2, order + 1):
+        moments[r] /= math.factorial(r)
+    return moments
+
+
+@functools.lru_cache(maxsize=1)
+def _holding_table(S: int, eta: float) -> np.ndarray:
+    """holding_series of states 1 .. S up to t^2, (3, S) and read-only; cached,
+    so that the DP and the delay step of a gf query build one table."""
+    table = holding_series(np.arange(1, S + 1), eta, 2)
+    table.flags.writeable = False
+    return table
 
 
 def _check_query(R: int, n: int, eta: float = 0.0) -> None:
@@ -132,7 +155,7 @@ def _delay_step(S: int, eta: float):
     moment series up to t^2.  Cached, so that the pass (solve_delay_system)
     and the master (delay_master_series) of a query build one table.  Each
     row is its own 1 x 3 product, so the pass and the master round alike."""
-    hold = np.array([holding_series(j, eta, 2) for j in range(1, S + 1)])
+    hold = _holding_table(S, eta).T
     lag = np.arange(3) - np.arange(3)[:, None]
     toeplitz = np.where(lag >= 0, hold[:, np.maximum(lag, 0)], 0.0)
     return lambda block, states: (block[..., None, :] @ toeplitz[states])[..., 0, :]
@@ -262,12 +285,16 @@ def exact_law_dp(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     _check_query(R, n, eta)
     S = min(R, n)
     u = np.arange(1, S + 1)  # a live size is at most the coverage
-    e1, e2 = (np.array([step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
+    _, e1, half_e2 = _holding_table(S, eta)  # E[nu_u], E[nu_u^2] / 2
     kappa = e1 @ u / u.sum()  # stationary weights are proportional to u
     # step[u - 1] takes (probability, first, second moment) through one
     # holding time nu_u - kappa (moments a, b) and splits it over u next sizes
-    step = np.array([[[1.0, 0.0, 0.0], [a, 1.0, 0.0], [b, 2.0 * a, 1.0]] for a, b in
-                     zip(e1 - kappa, e2 - 2.0 * kappa * e1 + kappa * kappa)]) / u[:, None, None]
+    a = e1 - kappa
+    step = np.zeros((S, 3, 3))
+    step[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    step[:, 1, 0], step[:, 2, 1] = a, 2.0 * a
+    step[:, 2, 0] = 2.0 * half_e2 - 2.0 * kappa * e1 + kappa * kappa
+    step /= u[:, None, None]
     # a product is (blocks, matrices, sizes per block): output block b takes
     # source block b counted from the top size down, and each later block
     # adds the last row of the one before, a running sum
@@ -351,6 +378,8 @@ def transform_cost(R: int, n: int) -> tuple[int, int]:
     return (n + 1) * (S * (10 * hops + 70) + 7000), 2 * (S + 1) * (n + 1) * (hops + 3)
 
 
+# not exported from the package: kept because the benchmark tracer
+# (perfbench/tracer.py) wraps hop_pmf_dp and delay_moments_dp by name
 def hop_pmf_dp(R: int, n: int) -> np.ndarray:
     """Exact hop-count pmf by forward dynamic programming: see exact_law_dp."""
     return exact_law_dp(R, 0.0, n)[0]

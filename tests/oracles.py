@@ -218,6 +218,20 @@ def exact_law_paths(R: int, eta: Fraction, n: int) -> tuple[list[Fraction], Frac
     return pmf, moments[0], moments[1] - moments[0] ** 2
 
 
+def step_moment(j: int, eta: float, r: int) -> float:
+    """E[nu_j^r] for the holding time nu_j = eta + (1 - eta) * Beta(1, j) of
+    one state j, with the rising product (j + 1) ... (j + q) in exact
+    integers: the scalar form of tricklelab.gf.step_moment."""
+    if j < 1:
+        raise ValueError("state index must be >= 1")
+    total = 0.0
+    for q in range(r + 1):
+        # E[Beta(1, j)^q] = q! j! / (q + j)!, without forming j! for large j
+        beta_q = math.factorial(q) / math.prod(range(j + 1, j + q + 1))
+        total += math.comb(r, q) * eta ** (r - q) * (1.0 - eta) ** q * beta_q
+    return total
+
+
 def exact_law_by_suffix_adds(R: int, eta: float, n: int) -> tuple[np.ndarray, float, float]:
     """The forward pass of tricklelab.gf.exact_law_dp with one numpy add per
     next size: each hop steps every size through its 3 x 3 matrix, then
@@ -225,7 +239,7 @@ def exact_law_by_suffix_adds(R: int, eta: float, n: int) -> tuple[np.ndarray, fl
     shifted copy of the band, and rescans the live band for columns whose
     probability is 0.0.  Only the sizes that hold mass are stepped."""
     u = np.arange(1, min(R, n) + 1)
-    e1, e2 = (np.array([gf.step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
+    e1, e2 = (np.array([step_moment(j, eta, r) for j in u.tolist()]) for r in (1, 2))
     kappa = e1 @ u / u.sum()
     step = np.array([[[1.0, 0.0, 0.0], [a, 1.0, 0.0], [b, 2.0 * a, 1.0]] for a, b in
                      zip(e1 - kappa, e2 - 2.0 * kappa * e1 + kappa * kappa)]) / u[:, None, None]
@@ -265,7 +279,8 @@ def _ring_step(degree: int, eta: float | None, states: int):
     up to t^degree, one shifted copy per moment."""
     if eta is None:
         return ("nodes", "hops"), lambda i, s: s.shifted((0, 1))
-    hold = [gf.holding_series(j, eta, degree) for j in range(1, states + 1)]
+    hold = [[step_moment(j, eta, r) / math.factorial(r) for r in range(degree + 1)]
+            for j in range(1, states + 1)]
     return ("nodes", "time"), lambda i, s: sum(c * s.shifted((0, r)) for r, c in enumerate(hold[i]))
 
 

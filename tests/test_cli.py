@@ -376,18 +376,16 @@ def test_json_bytes_match_golden_digest(capsys, argv, digest):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def as_lists(value):
+def as_lists(payload):
     """A payload with each numpy array as its .tolist(), a structured array
     as a list of dicts keyed by its field names."""
-    if isinstance(value, np.ndarray):
+    def as_list(value):
+        if not isinstance(value, np.ndarray):
+            return value
         if value.dtype.names:
             return [dict(zip(value.dtype.names, row)) for row in value.tolist()]
         return value.tolist()
-    if isinstance(value, dict):
-        return {key: as_lists(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [as_lists(item) for item in value]
-    return value
+    return {key: as_list(value) for key, value in payload.items()}
 
 
 # 1e308 twice in a block sums past the float range
@@ -406,7 +404,7 @@ LENGTHS = st.integers(0, 9)
 @st.composite
 def json_arrays(draw):
     dtype = draw(st.sampled_from(sorted(ELEMENTS)))
-    kind = draw(st.sampled_from(["1-D", "2-D", "records"]))
+    kind = draw(st.sampled_from(["1-D", "2-D", "records", "0-D or 3-D"]))
     if kind == "records":
         names = draw(st.lists(st.text(min_size=1, max_size=4) | st.sampled_from(["%", "é"]),
                               min_size=1, max_size=3, unique=True))
@@ -417,12 +415,16 @@ def json_arrays(draw):
             array[name] = draw(hnp.arrays(field_dtype, len(array),
                                           elements=ELEMENTS[field_dtype]))
         return array
-    shape = draw(LENGTHS) if kind == "1-D" else (draw(LENGTHS), draw(st.integers(0, 3)))
+    if kind == "0-D or 3-D":  # written whole by json, not in blocks
+        shape = draw(st.sampled_from([(), (2, 1, 3), (1, 0, 2)]))
+    else:
+        shape = draw(LENGTHS) if kind == "1-D" else (draw(LENGTHS), draw(st.integers(0, 3)))
     return draw(hnp.arrays(dtype, shape, elements=ELEMENTS[dtype]))
 
 
-JSON_PAYLOADS = st.recursive(
-    JSON_SCALARS | json_arrays(),
+# arrays sit only at the payload's top level, as in every command's payload
+JSON_PAYLOADS = json_arrays() | st.recursive(
+    JSON_SCALARS,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
     max_leaves=12)
@@ -438,6 +440,13 @@ def test_json_writer_matches_json_dumps(payload, block):
     with mock.patch.object(cli, "CSV_BLOCK", block), contextlib.redirect_stdout(out):
         cli.emit(payload, None)
     assert out.getvalue() == json.dumps(as_lists(payload), indent=2) + "\n"
+
+
+def test_json_writer_refuses_an_array_inside_a_value():
+    # the payload is written as one flat object: a nested array is not
+    # serializable, not written as something else
+    with pytest.raises(TypeError):
+        cli.emit({"a": [np.zeros(2)]}, os.devnull)
 
 
 def test_cached_parser_carries_nothing_between_queries(capsys, monkeypatch):

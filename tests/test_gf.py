@@ -11,6 +11,7 @@ from tricklelab import gf
 from tricklelab.analytics import transition_matrix
 from tricklelab.series import TruncatedSeries
 
+import oracles
 from oracles import exact_law_by_suffix_adds, exact_law_paths, master_by_ring, visits_by_sweeps
 
 
@@ -50,6 +51,19 @@ class TestStepMoments:
         assert gf.step_moment(3, 0.2, 1) == pytest.approx(0.2 + 0.8 / 4)
         assert gf.step_moment(1, 0.0, 2) == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1, 0.25, 0.5, 0.7, 1.0])
+    def test_array_form_is_the_scalar_oracle_bitwise(self, eta):
+        # every state the DP and the transform route can take at r <= 2 (the
+        # rising product exact in floats), and small states at r = 3, 4
+        for r, states in ((0, 100), (1, 32000), (2, 32000), (3, 51), (4, 51)):
+            j = np.arange(1, states)
+            expected = np.array([oracles.step_moment(i, eta, r) for i in j.tolist()])
+            assert gf.step_moment(j, eta, r).tobytes() == expected.tobytes()
+
+    def test_array_of_states_checks_every_state(self):
+        with pytest.raises(ValueError):
+            gf.step_moment(np.array([3, 0, 2]), 0.5, 1)
+
 
 class TestStepMGF:
     """The holding series is the moment generating function of the holding
@@ -87,6 +101,12 @@ class TestStepMGF:
             assert c[r] == pytest.approx(
                 gf.step_moment(3, 0.25, r) / math.factorial(r), rel=1e-12)
         assert c[0] == 1.0
+
+    def test_series_of_an_array_of_states_stacks_each_state(self):
+        c = gf.holding_series(np.arange(1, 6), 0.25, 3)
+        assert c.shape == (4, 5)
+        for j in range(1, 6):
+            assert c[:, j - 1].tobytes() == gf.holding_series(j, 0.25, 3).tobytes()
 
 
 class TestHopSystem:
